@@ -1,28 +1,19 @@
-"""Hot-kernel selection: compiled extension when built, pure Python otherwise.
+"""Hot kernel: sentence evaluation and partition refinement.
 
-``indepax._kernel.active`` is the module actually used by the evaluator and
-the partition refiner.  Set INDEPAX_FORCE_PURE=1 to pin the fallback (used by
-the benchmark and the parity tests).
+``indepax._kernel.active`` is the module used by the evaluator and the
+partition refiner.  Callers look its functions up as attributes at call
+time, so a tracer can wrap them in place.
 """
-
-import os
 
 from . import pure
 from .program import (OP_AND, OP_ATOM, OP_EQ, OP_EXISTS, OP_FORALL, OP_NOT,
                       OP_OR, Program)
 
-compiled = None
-if not os.environ.get("INDEPAX_FORCE_PURE"):
-    try:
-        from . import _core as compiled  # type: ignore[no-redef]
-    except ImportError:
-        compiled = None
-
-active = compiled if compiled is not None else pure
+active = pure
 
 BACKEND = active.BACKEND
 
 __all__ = [
     "Program", "OP_ATOM", "OP_EQ", "OP_NOT", "OP_AND", "OP_OR",
-    "OP_EXISTS", "OP_FORALL", "active", "pure", "compiled", "BACKEND",
+    "OP_EXISTS", "OP_FORALL", "active", "pure", "BACKEND",
 ]

@@ -1,7 +1,6 @@
-"""Flattened sentence programs shared by the pure and compiled evaluators.
+"""Flattened sentence programs walked by the evaluation kernel.
 
-A compiled sentence is a DAG of numbered nodes; both kernel back ends walk
-the same arrays so their results are directly comparable.
+A compiled sentence is a DAG of numbered nodes stored in parallel arrays.
 """
 
 from dataclasses import dataclass, field

@@ -1,9 +1,4 @@
-"""Pure-Python kernel: reference implementation of the hot inner loops.
-
-Always available; the compiled twin in ``_core`` replaces it when the
-extension was built.  Semantics of the two must match bit for bit (see
-``benchmarks/bench_kernels.py`` and ``tests/test_kernel_parity.py``).
-"""
+"""Pure-Python kernel: the hot inner loops of evaluation and refinement."""
 
 from .program import (OP_AND, OP_ATOM, OP_EQ, OP_EXISTS, OP_FORALL, OP_NOT,
                       OP_OR, Program)
@@ -11,35 +6,15 @@ from .program import (OP_AND, OP_ATOM, OP_EQ, OP_EXISTS, OP_FORALL, OP_NOT,
 BACKEND = "pure"
 
 
-def encode_structure(size: int, tables: list[tuple[int, list[tuple[int, ...]]]]):
-    """Pack relation tables into per-relation bit masks.
+def eval_program(prog: Program, size: int, masks: tuple[int, ...],
+                 env0: tuple[int, ...]) -> bool:
+    """Evaluate a compiled sentence over a structure of ``size`` elements
+    whose relation ``r`` holds the tuples set in ``masks[r]``.
 
-    ``tables`` holds one ``(arity, tuples)`` entry per signature relation.
     Bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left).
-    """
-    masks = []
-    for _arity, tups in tables:
-        mask = 0
-        for tup in tups:
-            idx = 0
-            for a in tup:
-                idx = idx * size + a
-            mask |= 1 << idx
-        masks.append(mask)
-    return (size, masks)
-
-
-def supports(prog: Program, handle) -> bool:  # the pure kernel is total
-    return True
-
-
-def eval_program(prog: Program, handle, env0: tuple[int, ...]) -> bool:
-    """Evaluate a compiled sentence over an encoded structure.
-
     ``env0`` fills the free slots; quantifier nodes extend the environment.
     AND/OR/quantifier results are memoised on the slots their subtree reads.
     """
-    size, masks = handle
     ops = prog.ops
     arg1 = prog.arg1
     arg2 = prog.arg2
@@ -65,10 +40,21 @@ def eval_program(prog: Program, handle, env0: tuple[int, ...]) -> bool:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        # plain loops, not all()/any() over a generator: the generator adds
+        # stack frames per nesting level, and the deepest chains the parser
+        # accepts would then overflow
         if op == OP_AND:
-            res = all(rec(children[k]) for k in range(cstart[i], cend[i]))
+            res = True
+            for k in range(cstart[i], cend[i]):
+                if not rec(children[k]):
+                    res = False
+                    break
         elif op == OP_OR:
-            res = any(rec(children[k]) for k in range(cstart[i], cend[i]))
+            res = False
+            for k in range(cstart[i], cend[i]):
+                if rec(children[k]):
+                    res = True
+                    break
         elif op == OP_EXISTS:
             slot, child = arg2[i], arg1[i]
             res = False

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success/verified, 1 verification failure or inapplicable
-operation, 2 malformed input.  Reports are JSON with sorted keys; a fixed
-seed reproduces fuzz runs byte for byte.
+operation, 2 malformed input (including sentences nested too deeply to
+evaluate).  Reports are JSON with sorted keys; a fixed seed reproduces fuzz
+runs byte for byte.
 """
 
 from __future__ import annotations
@@ -349,6 +350,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, MalformedSentenceError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser admits MAX_PARSE_DEPTH levels; some recursive walks
+        # over a sentence run out of stack before that
+        print("error: sentence nested too deeply to evaluate",
+              file=sys.stderr)
         return 2
     except VerificationInternalError as exc:
         print(f"internal verification failure (bug): {exc}", file=sys.stderr)

@@ -408,19 +408,6 @@ class Structure:
         return self.tables[self.signature.index[name]]
 
     @cached_property
-    def _handles(self) -> dict:
-        return {}
-
-    def kernel_handle(self, kern):
-        h = self._handles.get(kern.BACKEND)
-        if h is None:
-            spec = [(arity, sorted(tab)) for (name, arity), tab
-                    in zip(self.signature.relations, self.tables)]
-            h = kern.encode_structure(self.size, spec)
-            self._handles[kern.BACKEND] = h
-        return h
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Per-relation bit masks (fold-left positional index)."""
         out = []
@@ -438,24 +425,6 @@ class Structure:
         tabs = tuple(frozenset(tuple(perm[v] for v in tup) for tup in tab)
                      for tab in self.tables)
         return Structure(self.signature, self.size, tabs)
-
-    @cached_property
-    def canonical_key(self) -> tuple:
-        """Lexicographically minimal mask tuple over all relabelings.
-        Exact isomorphism-class key for size <= 8 (and beyond, just slower)."""
-        best = None
-        for perm in itertools.permutations(range(self.size)):
-            masks = self.apply_permutation(perm).masks
-            if best is None or masks < best:
-                best = masks
-        return (self.size, best)
-
-    def canonical_form(self) -> "Structure":
-        size, masks = self.canonical_key
-        tabs = tuple(
-            frozenset(_unrank_cells(m, size, arity))
-            for m, (_n, arity) in zip(masks, self.signature.relations))
-        return Structure(self.signature, size, tabs)
 
 
 def _unrank_cells(mask: int, size: int, arity: int):
@@ -558,12 +527,7 @@ def eval(M: Structure, sentence: Sentence,
                 f"assignment {v}={assignment[v]} out of range")
     prog = compile_sentence(sentence, M.signature, free_order)
     env0 = tuple(assignment[v] for v in free_order)
-    kern = _kernel.active
-    handle = M.kernel_handle(kern)
-    if not kern.supports(prog, handle):
-        kern = _kernel.pure
-        handle = M.kernel_handle(kern)
-    return kern.eval_program(prog, handle, env0)
+    return _kernel.active.eval_program(prog, M.size, M.masks, env0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +578,6 @@ class ModelSpace:
     representatives: tuple[Structure, ...]
     _satsets: dict = field(default_factory=dict, repr=False)
     _elemsets: dict = field(default_factory=dict, repr=False)
-    _keep: list = field(default_factory=list, repr=False)
     _extra: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -658,7 +621,6 @@ class ModelSpace:
                 if eval(rep, sentence):
                     m |= 1 << i
         self._satsets[id(sentence)] = m
-        self._keep.append(sentence)
         return m
 
     def _decomposable(self, s: Sentence) -> bool:
@@ -706,7 +668,6 @@ class ModelSpace:
             out.append(m)
         res = tuple(out)
         self._elemsets[key] = res
-        self._keep.append(formula)
         return res
 
     def mask_members(self, mask: int) -> list[Structure]:

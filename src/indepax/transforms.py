@@ -215,15 +215,12 @@ def complement_axiomatization(T: Theory, space: ModelSpace) -> TransformReport:
     return _verify(report, space)
 
 
-def scott_filter_transform(T: Theory, space: ModelSpace,
-                           excluded_mask: int = 0) -> TransformReport:
+def scott_filter_transform(T: Theory, space: ModelSpace) -> TransformReport:
     """Per input sentence, conjoin the negated Scott sentences of its
     counter-model classes not already used at an earlier index; empty
-    conjunctions are dropped.  ``excluded_mask`` reserves classes an outer
-    filter removes from consideration; it is always zero at this scale.
-    """
+    conjunctions are dropped."""
     _counter_mask(T, space)  # consistency precondition
-    used = excluded_mask
+    used = 0
     out_sentences = []
     labels = []
     witnesses = []
@@ -379,9 +376,9 @@ def phi_star(tree: SeparatingTree) -> Sentence:
 def independent_axiomatize(T: Theory, space: ModelSpace) -> TransformReport:
     """Preprocess, then produce a verified independent equivalent: empty or
     singleton results are independent as-is, otherwise the Scott filter
-    applies; if any two of its outputs were equivalent over the space the
-    complement construction would take over (never reached at this scale,
-    kept as a trap)."""
+    applies.  Its output k fails exactly on its own nonempty class set, and
+    those sets are disjoint, so no two outputs are equivalent over the
+    space; the final verification re-checks that."""
     P = preprocess(T, space)
     if len(P) <= 1:
         witnesses: tuple[Optional[Structure], ...] = ()
@@ -392,12 +389,6 @@ def independent_axiomatize(T: Theory, space: ModelSpace) -> TransformReport:
                                  witnesses, notes={"stage": "preprocess"})
     else:
         stage = scott_filter_transform(P, space)
-        sats = [space.satset(s) for s in stage.output.sentences]
-        degenerate = any(sats[i] == sats[j]
-                         for i in range(len(sats))
-                         for j in range(i + 1, len(sats)))
-        if degenerate:
-            stage = complement_axiomatization(P, space)
         report = TransformReport(T, stage.output, "driver", space.max_size,
                                  False, stage.independence_witnesses,
                                  notes={"stage": stage.method, **stage.notes})

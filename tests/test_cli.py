@@ -200,6 +200,35 @@ class TestErrorPaths:
         assert r.returncode == 2
 
 
+class TestDeepNesting:
+    """Chains as deep as the parser admits are answered or exit 2."""
+
+    def test_deepest_distinct_chain_is_answered(self, tmp_path):
+        from indepax.model import MAX_PARSE_DEPTH
+        k = MAX_PARSE_DEPTH - 2  # the innermost exists/atom add two levels
+        s = f"(exists y{k} (atom P y{k}))"
+        for i in reversed(range(k)):
+            s = f"(and (exists y{i} (atom P y{i})) {s})"
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps([s]))
+        r = run_cli("verify", "--independent", "--max-size", "2", str(path))
+        assert r.returncode == 0, r.stderr
+        assert "independence: pass" in r.stdout
+
+    def test_too_deep_to_evaluate_exits_2(self, tmp_path):
+        # every level shares its first conjunct with the cached first
+        # sentence, so the satset decomposition recurses the whole chain
+        s = "(exists x (not (atom P x)))"
+        for _ in range(394):
+            s = f"(and (exists x (atom P x)) {s})"
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(["(exists x (atom P x))", s]))
+        r = run_cli("verify", "--independent", "--max-size", "2", str(path))
+        assert r.returncode == 2
+        assert "nested too deeply to evaluate" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 class TestDeterminism:
     def test_fuzz_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
