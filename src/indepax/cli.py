@@ -268,17 +268,14 @@ def cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-size", type=int, default=3,
-                        help="bound on structure sizes (default 3)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed for fuzzing (default 0)")
-    common.add_argument("--out", default=None,
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None,
                         help="directory for JSON reports (default: stdout)")
-    common.add_argument("--cap-classes", type=int, default=100_000,
-                        help="enumeration cap on isomorphism classes")
-    common.add_argument("--cap-materialize", type=int, default=4,
-                        help="size cap for Scott sentence materialization")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[output])
+    bounded.add_argument("--max-size", type=int, default=3,
+                         help="bound on structure sizes (default 3)")
+    bounded.add_argument("--cap-classes", type=int, default=100_000,
+                         help="enumeration cap on isomorphism classes")
 
     p = argparse.ArgumentParser(
         prog="indepax",
@@ -288,17 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"indepax {__version__} (kernel: {BACKEND})")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("scott", parents=[common],
+    sp = sub.add_parser("scott", parents=[output],
                         help="Scott height, invariant, and sentence")
     sp.add_argument("structure", help="structure JSON file")
+    sp.add_argument("--cap-materialize", type=int, default=4,
+                    help="size cap for Scott sentence materialization")
     sp.set_defaults(func=cmd_scott)
 
-    ap = sub.add_parser("analyze", parents=[common],
+    ap = sub.add_parser("analyze", parents=[bounded],
                         help="type counts per level for a theory")
     ap.add_argument("theory", help="theory JSON file")
     ap.set_defaults(func=cmd_analyze)
 
-    tp = sub.add_parser("transform", parents=[common],
+    tp = sub.add_parser("transform", parents=[bounded],
                         help="independent axiomatization transforms")
     tp.add_argument("theory", help="theory JSON file")
     tp.add_argument("--method", default="auto",
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="theory file with the D sentences (reznikoff)")
     tp.set_defaults(func=cmd_transform)
 
-    fp = sub.add_parser("setfam", parents=[common],
+    fp = sub.add_parser("setfam", parents=[bounded],
                         help="set-family checks and constructions")
     mode = fp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true")
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="family JSON file")
     fp.set_defaults(func=cmd_setfam)
 
-    vp = sub.add_parser("verify", parents=[common],
+    vp = sub.add_parser("verify", parents=[bounded],
                         help="brute-force verification of theories")
     vp.add_argument("theory", help="theory JSON file")
     vp.add_argument("--independent", action="store_true",
@@ -331,11 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check equivalence against another theory file")
     vp.set_defaults(func=cmd_verify)
 
-    zp = sub.add_parser("fuzz", parents=[common],
+    zp = sub.add_parser("fuzz", parents=[bounded],
                         help="seeded random theories/families through the "
                              "full verify loop")
     zp.add_argument("--count", type=int, default=20,
                     help="instances per kind (default 20)")
+    zp.add_argument("--seed", type=int, default=0,
+                    help="random seed (default 0)")
     zp.set_defaults(func=cmd_fuzz)
     return p
 

@@ -570,7 +570,9 @@ class ModelSpace:
 
     Satisfaction of each sentence is cached as a bitset over representative
     indices; all higher-level checks reduce to bitset algebra, so every
-    sentence is evaluated over the space at most once.
+    sentence is evaluated over the space at most once.  ``And``, ``Or`` and
+    ``Not`` are always bitset algebra over the children's satsets, and
+    ``scott.space_scott_sentence`` seeds Scott sentences' satsets by index.
     """
 
     signature: Signature
@@ -589,30 +591,26 @@ class ModelSpace:
         return {id(r): i for i, r in enumerate(self.representatives)}
 
     def satset(self, sentence: Sentence) -> int:
-        """Bitset of representatives satisfying a closed sentence."""
+        """Bitset of representatives satisfying a closed sentence.  Each
+        nested boolean level costs one stack frame."""
         if sentence.free:
             raise MalformedSentenceError(
                 f"sentence has free variables {sorted(sentence.free)}")
         cached = self._satsets.get(id(sentence))
         if cached is not None:
             return cached
-        # decompose a conjunction/disjunction only when its boolean skeleton
-        # bottoms out in already-cached sentences; otherwise one memoized DAG
-        # walk per representative beats re-walking shared subformulas
-        if isinstance(sentence, (And, Or)) and all(
-                self._decomposable(c) for c in sentence.children):
-            if isinstance(sentence, And):
-                m = self.full_mask
-                for c in sentence.children:
-                    m &= self.satset(c)
-                    if not m:
-                        break
-            else:
-                m = 0
-                for c in sentence.children:
-                    m |= self.satset(c)
-                    if m == self.full_mask:
-                        break
+        if isinstance(sentence, And):
+            m = self.full_mask
+            for c in sentence.children:
+                m &= self.satset(c)
+                if not m:
+                    break
+        elif isinstance(sentence, Or):
+            m = 0
+            for c in sentence.children:
+                m |= self.satset(c)
+                if m == self.full_mask:
+                    break
         elif isinstance(sentence, Not):
             m = self.full_mask & ~self.satset(sentence.child)
         else:
@@ -622,24 +620,6 @@ class ModelSpace:
                     m |= 1 << i
         self._satsets[id(sentence)] = m
         return m
-
-    def _decomposable(self, s: Sentence) -> bool:
-        # only True is memoized: a node can become decomposable later once
-        # its satset lands in the cache, and False short-circuits fast
-        memo = self._extra.setdefault("decomposable", {})
-        if memo.get(id(s)):
-            return True
-        if id(s) in self._satsets:
-            hit = True
-        elif isinstance(s, Not):
-            hit = self._decomposable(s.child)
-        elif isinstance(s, (And, Or)):
-            hit = all(self._decomposable(c) for c in s.children)
-        else:
-            hit = False
-        if hit:
-            memo[id(s)] = True
-        return hit
 
     def theory_mask(self, T: Union[Theory, Iterable[Sentence]]) -> int:
         m = self.full_mask

@@ -331,14 +331,25 @@ def alpha_types_of(sentence: Sentence, alpha: int,
 def space_scott_sentence(space: ModelSpace, rep_index: int) -> Sentence:
     """Scott sentence of a representative, cached per space.
 
-    Its satisfaction bitset is computed eagerly: every consumer combines
-    these sentences into large conjunctions/disjunctions, which then reduce
-    to cached bitset algebra instead of evaluating the combined DAG."""
-    cache = space._extra.setdefault("scott_sentences", {})
+    A Scott sentence holds exactly in the structures isomorphic to its
+    own, so its satisfaction bitset is seeded as ``1 << rep_index``, not
+    evaluated; the formula is still built for reports.  The first call for
+    a space certifies that no two representatives are isomorphic (their
+    empty tuples lie in distinct stabilized classes) or raises
+    PreconditionError."""
+    cache = space._extra.get("scott_sentences")
+    if cache is None:
+        part = space_partition(space)
+        roots = {part.class_at(part.stabilization_level, i, ())
+                 for i in range(len(space.representatives))}
+        if len(roots) != len(space.representatives):
+            raise PreconditionError(
+                "space representatives are not pairwise non-isomorphic")
+        cache = space._extra["scott_sentences"] = {}
     s = cache.get(rep_index)
     if s is None:
         rep = space.representatives[rep_index]
         s = scott_sentence(rep, cap=max(DEFAULT_MATERIALIZE_CAP, space.max_size))
         cache[rep_index] = s
-        space.satset(s)
+        space._satsets[id(s)] = 1 << rep_index
     return s

@@ -75,6 +75,21 @@ def _first_element(mask: int) -> Optional[int]:
     return (mask & -mask).bit_length() - 1
 
 
+def intersections_of_others(sets: Sequence[int], full: int) -> list[int]:
+    """For each index, the intersection of all the other sets (``full`` when
+    there are none), from prefix and suffix intersections in linear time."""
+    n = len(sets)
+    suffix = [full] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] & sets[i]
+    out = []
+    prefix = full
+    for i in range(n):
+        out.append(prefix & suffix[i + 1])
+        prefix &= sets[i]
+    return out
+
+
 @dataclass
 class FamilyCheckReport:
     independent: bool
@@ -91,16 +106,8 @@ def family_is_independent(F: SetFamily) -> tuple[bool, FamilyCheckReport]:
     if inter_witness is None:
         return False, FamilyCheckReport(False, None, (),
                                         failure="empty intersection")
-    n = len(F)
-    prefix = [F.full] * (n + 1)
-    for i, s in enumerate(F.sets):
-        prefix[i + 1] = prefix[i] & s
-    suffix = [F.full] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & F.sets[i]
     removal: list[Optional[int]] = []
-    for i in range(n):
-        rest = prefix[i] & suffix[i + 1]
+    for i, rest in enumerate(intersections_of_others(F.sets, F.full)):
         w = _first_element(rest & ~F.sets[i] & F.full)
         removal.append(w)
         if w is None:

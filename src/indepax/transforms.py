@@ -18,6 +18,7 @@ from .errors import (DuplicateTypeError, MalformedSentenceError,
 from .model import (And, ModelSpace, Not, Or, Sentence, Structure, Theory,
                     exists_block, preprocess, to_sexpr)
 from .scott import TypeId, space_scott_sentence
+from .setfam import intersections_of_others
 from .verify import check_independence, check_theories_equivalent
 
 
@@ -145,16 +146,10 @@ def reznikoff_pairing(C: Theory, D: Theory, space: ModelSpace) -> TransformRepor
     everything = list(C.sentences) + list(D.sentences)
     sats = [space.satset(s) for s in everything]
     full = space.full_mask
-    prefix = [full] * (len(sats) + 1)
-    for i, m in enumerate(sats):
-        prefix[i + 1] = prefix[i] & m
-    suffix = [full] * (len(sats) + 1)
-    for i in range(len(sats) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & sats[i]
+    others = intersections_of_others(sats, full)
     hypothesis_witnesses = []
     for i in range(len(C)):
-        rest = prefix[i] & suffix[i + 1]
-        bad = rest & ~sats[i] & full
+        bad = others[i] & ~sats[i] & full
         if not bad:
             raise NotApplicableError(
                 f"sentence {i} of C is entailed by the rest over the space",

@@ -113,14 +113,22 @@ def test_criterion_3_scott_sentence_soundness(binary_space):
     reps = binary_space.representatives
     sentences = [scott.scott_sentence(M) for M in reps]
     disagreements = 0
+    seeded_mismatches = 0
     for i, M in enumerate(reps):
+        evaluated = 0
         for j, N in enumerate(reps):
             ev = model.eval(N, sentences[i])
+            evaluated |= ev << j
             iso, _ = verify.oracle_isomorphic(M, N)
             disagreements += (ev != iso)
-    report(3, "Scott sentence soundness", disagreements == 0,
+        # the space seeds this bitset by index instead of evaluating it
+        seeded = binary_space.satset(scott.space_scott_sentence(binary_space, i))
+        seeded_mismatches += (seeded != evaluated)
+    report(3, "Scott sentence soundness",
+           disagreements == 0 and seeded_mismatches == 0,
            f"{len(reps)}x{len(reps)} evaluations, "
-           f"{disagreements} disagreements")
+           f"{disagreements} disagreements, "
+           f"{seeded_mismatches} seeded satsets differ from evaluated")
 
 
 # criterion 4 -----------------------------------------------------------------

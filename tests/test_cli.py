@@ -182,6 +182,11 @@ class TestVerifyCommand:
         r = run_cli("verify", str(files / "theory.json"))
         assert r.returncode == 2
 
+    def test_flag_of_another_subcommand_is_usage_error(self, files):
+        r = run_cli("verify", "--seed", "3", "--independent",
+                    str(files / "theory.json"), "--max-size", "2")
+        assert r.returncode == 2
+
 
 class TestErrorPaths:
     def test_malformed_sexpr_exits_2(self, files):
@@ -215,17 +220,18 @@ class TestDeepNesting:
         assert r.returncode == 0, r.stderr
         assert "independence: pass" in r.stdout
 
-    def test_too_deep_to_evaluate_exits_2(self, tmp_path):
+    def test_deep_chain_over_cached_sentence_is_answered(self, tmp_path):
         # every level shares its first conjunct with the cached first
-        # sentence, so the satset decomposition recurses the whole chain
+        # sentence; the satset of each level is bitset algebra over its
+        # children, one stack frame per level
         s = "(exists x (not (atom P x)))"
         for _ in range(394):
             s = f"(and (exists x (atom P x)) {s})"
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(["(exists x (atom P x))", s]))
         r = run_cli("verify", "--independent", "--max-size", "2", str(path))
-        assert r.returncode == 2
-        assert "nested too deeply to evaluate" in r.stderr
+        assert r.returncode == 1, r.stderr
+        assert "independence: fail" in r.stdout
         assert "Traceback" not in r.stderr
 
 

@@ -232,12 +232,20 @@ class TestSpaceQueries:
         import random
         from indepax import generators
         rng = random.Random(1)
-        for _ in range(20):
-            s = generators.random_formula(rng, 3)
-            mask = ub_space.satset(s)
-            for i in range(0, len(ub_space.representatives), 37):
+        sentences = [generators.random_formula(rng, 3) for _ in range(20)]
+        # boolean combinations go first, while their children are uncached
+        sentences += [model.And(sentences[0:3]), model.Or(sentences[3:6]),
+                      model.Not(sentences[6]),
+                      model.Or([model.And([sentences[7], model.Not(sentences[8])]),
+                                model.Not(model.Or(sentences[9:11]))])]
+        fresh = model.ModelSpace(ub_space.signature, ub_space.max_size,
+                                 ub_space.representatives)
+        for s in reversed(sentences):
+            mask = fresh.satset(s)
+            assert 0 <= mask <= fresh.full_mask
+            for i in range(0, len(fresh.representatives), 37):
                 assert bool((mask >> i) & 1) == model.eval(
-                    ub_space.representatives[i], s)
+                    fresh.representatives[i], s)
 
 
 class TestConcurrency:

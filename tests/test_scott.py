@@ -148,6 +148,14 @@ class TestScottSentence:
             scott.scott_sentence(M)
         scott.scott_sentence(M, cap=5)  # raising the cap works
 
+    def test_space_sentence_needs_non_isomorphic_representatives(self, sig):
+        # the seeded satset 1 << i is only sound when no two
+        # representatives are isomorphic; a hand-built space is refused
+        M = Structure.make(sig, 3, {"R": [(0, 1), (2, 1)]})
+        space = model.ModelSpace(sig, 3, (M, M.apply_permutation((2, 0, 1))))
+        with pytest.raises(PreconditionError):
+            scott.space_scott_sentence(space, 0)
+
     def test_every_labeled_structure_satisfies_its_class_sentence(self, sig):
         # exhaustive over all 18 labeled structures of size <= 2: each one
         # satisfies exactly the Scott sentence of its isomorphism class
