@@ -23,7 +23,7 @@ class Program:
     arg2[i]      EQ: right slot; EXISTS/FORALL: bound slot; otherwise -1
     cstart/cend  AND/OR: child-node range in `children`; ATOM: arg-slot range
     children     concatenated child node ids / atom argument slots
-    ustart/uend  per node, range in `uslots` of the env slots its subtree reads
+    used[i]      sorted env slots that node i's subtree reads (its memo key)
     """
 
     ops: list[int] = field(default_factory=list)
@@ -32,9 +32,7 @@ class Program:
     cstart: list[int] = field(default_factory=list)
     cend: list[int] = field(default_factory=list)
     children: list[int] = field(default_factory=list)
-    ustart: list[int] = field(default_factory=list)
-    uend: list[int] = field(default_factory=list)
-    uslots: list[int] = field(default_factory=list)
+    used: list[tuple[int, ...]] = field(default_factory=list)
     root: int = -1
     nslots: int = 0
 
@@ -47,10 +45,5 @@ class Program:
         self.cstart.append(len(self.children))
         self.children.extend(kids)
         self.cend.append(len(self.children))
-        self.ustart.append(len(self.uslots))
-        self.uslots.extend(used)
-        self.uend.append(len(self.uslots))
+        self.used.append(used)
         return idx
-
-    def used_slots(self, i: int) -> tuple[int, ...]:
-        return tuple(self.uslots[self.ustart[i]:self.uend[i]])

@@ -21,8 +21,10 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
     cstart = prog.cstart
     cend = prog.cend
     children = prog.children
+    used = prog.used
     env = [0] * max(prog.nslots, len(env0))
     env[:len(env0)] = env0
+    getenv = env.__getitem__
     memo: dict[tuple, bool] = {}
 
     def rec(i: int) -> bool:
@@ -36,7 +38,7 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
             return env[arg1[i]] == env[arg2[i]]
         if op == OP_NOT:
             return not rec(arg1[i])
-        key = (i,) + tuple(env[s] for s in prog.uslots[prog.ustart[i]:prog.uend[i]])
+        key = (i, *map(getenv, used[i]))
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -267,12 +267,22 @@ def cmd_fuzz(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _size_bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None,
                         help="directory for JSON reports (default: stdout)")
     bounded = argparse.ArgumentParser(add_help=False, parents=[output])
-    bounded.add_argument("--max-size", type=int, default=3,
+    bounded.add_argument("--max-size", type=_size_bound, default=3,
                          help="bound on structure sizes (default 3)")
     bounded.add_argument("--cap-classes", type=int, default=100_000,
                          help="enumeration cap on isomorphism classes")

@@ -199,8 +199,7 @@ def to_sexpr(sentence: Sentence) -> str:
         if isinstance(x, str):
             out.append(x)
         elif isinstance(x, Atom):
-            out.append("(atom " + " ".join((x.rel,) + x.args) + ")" if x.args
-                       else f"(atom {x.rel})")
+            out.append("(atom " + " ".join((x.rel,) + x.args) + ")")
         elif isinstance(x, Eq):
             out.append(f"(eq {x.left} {x.right})")
         elif isinstance(x, Not):
@@ -334,6 +333,10 @@ def _build(lst) -> Sentence:
                 raise ParseError("atom needs a relation name", oppos)
             rel = as_name(args[0], "relation name")
             vs = [as_name(a, "variable") for a in args[1:]]
+            if not vs:
+                # signatures have no 0-ary relations
+                raise ParseError(f"atom {rel} needs at least one argument",
+                                 oppos)
             built[id(node)] = Atom(rel, vs)
         elif op == "eq":
             if len(args) != 2:
@@ -483,10 +486,10 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             idx = prog.add_node(OP_EQ, a, b, used=tuple(sorted({a, b})))
         elif isinstance(node, Not):
             c = rec(node.child, binding, next_slot)
-            idx = prog.add_node(OP_NOT, c, used=prog.used_slots(c))
+            idx = prog.add_node(OP_NOT, c, used=prog.used[c])
         elif isinstance(node, (And, Or)):
             kids = tuple(rec(c, binding, next_slot) for c in node.children)
-            used = sorted(set().union(*(prog.used_slots(k) for k in kids)) if kids else ())
+            used = sorted(set().union(*(prog.used[k] for k in kids)))
             idx = prog.add_node(OP_AND if isinstance(node, And) else OP_OR,
                                 kids=kids, used=tuple(used))
         elif isinstance(node, (Exists, Forall)):
@@ -495,7 +498,7 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             inner = dict(binding)
             inner[node.var] = slot
             c = rec(node.child, inner, next_slot + 1)
-            used = tuple(s for s in prog.used_slots(c) if s != slot)
+            used = tuple(s for s in prog.used[c] if s != slot)
             idx = prog.add_node(OP_EXISTS if isinstance(node, Exists) else OP_FORALL,
                                 c, slot, used=used)
         else:
@@ -573,6 +576,9 @@ class ModelSpace:
     sentence is evaluated over the space at most once.  ``And``, ``Or`` and
     ``Not`` are always bitset algebra over the children's satsets, and
     ``scott.space_scott_sentence`` seeds Scott sentences' satsets by index.
+    Per-element sets of open formulas (``elem_satset``) follow the same
+    rule for ``Not`` only: the complement of the child's sets within
+    ``(1 << size) - 1`` per representative.
     """
 
     signature: Signature
@@ -631,7 +637,10 @@ class ModelSpace:
 
     def elem_satset(self, formula: Sentence, var: str) -> tuple[int, ...]:
         """Per-representative bitsets of elements satisfying a one-free-
-        variable formula."""
+        variable formula.  ``Not(f)`` is the complement of ``f``'s sets
+        within each representative's elements, one stack frame per level;
+        any other formula is evaluated whole, so ``And``/``Or`` children
+        share one kernel memo."""
         if formula.free - {var}:
             raise MalformedSentenceError(
                 f"extra free variables {sorted(formula.free - {var})}")
@@ -639,14 +648,19 @@ class ModelSpace:
         cached = self._elemsets.get(key)
         if cached is not None:
             return cached
-        out = []
-        for rep in self.representatives:
-            m = 0
-            for e in range(rep.size):
-                if eval(rep, formula, {var: e} if formula.free else None):
-                    m |= 1 << e
-            out.append(m)
-        res = tuple(out)
+        if isinstance(formula, Not):
+            res = tuple(((1 << rep.size) - 1) & ~m for rep, m in
+                        zip(self.representatives,
+                            self.elem_satset(formula.child, var)))
+        else:
+            out = []
+            for rep in self.representatives:
+                m = 0
+                for e in range(rep.size):
+                    if eval(rep, formula, {var: e} if formula.free else None):
+                        m |= 1 << e
+                out.append(m)
+            res = tuple(out)
         self._elemsets[key] = res
         return res
 

@@ -20,7 +20,7 @@ from . import _kernel
 from .errors import (MaterializationRefusedError, PreconditionError,
                      SignatureMismatchError)
 from .model import (And, Atom, Eq, ModelSpace, Not, Or, Sentence,
-                    Structure, exists_block, forall_block)
+                    Signature, Structure, exists_block, forall_block)
 
 
 @dataclass(frozen=True)
@@ -202,18 +202,11 @@ class _Materializer:
         return f"x{i}"
 
     def atomic(self, tup: tuple[int, ...]) -> Sentence:
-        M = self.M
-        conj: list[Sentence] = []
-        k = len(tup)
-        for i in range(k):
-            for j in range(i + 1, k):
-                e = Eq(self.var(i), self.var(j))
-                conj.append(e if tup[i] == tup[j] else Not(e))
-        for (name, arity), table in zip(M.signature.relations, M.tables):
-            for combo in itertools.product(range(k), repeat=arity):
-                at = Atom(name, tuple(self.var(i) for i in combo))
-                conj.append(at if tuple(tup[i] for i in combo) in table
-                            else Not(at))
+        eqs, atoms = _literals(self.M.signature, len(tup))
+        conj = [pos if tup[i] == tup[j] else neg for i, j, pos, neg in eqs]
+        tables = self.M.tables
+        conj += [pos if tuple(tup[i] for i in combo) in tables[r] else neg
+                 for r, combo, pos, neg in atoms]
         return And(conj)
 
     def formula(self, tup: tuple[int, ...], alpha: int) -> Sentence:
@@ -243,6 +236,25 @@ class _Materializer:
             res = And(conj)
         self.memo[key] = res
         return res
+
+
+@lru_cache(maxsize=64)
+def _literals(signature: Signature, k: int) -> tuple[tuple, tuple]:
+    """The literals of atomic types of k-tuples, each with its negation:
+    ``(i, j, x_i = x_j, not)`` for i < j, then ``(relation index,
+    positions, atom, not atom)`` per relation and position combination."""
+    var = _Materializer.var
+    eqs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            e = Eq(var(i), var(j))
+            eqs.append((i, j, e, Not(e)))
+    atoms = []
+    for r, (name, arity) in enumerate(signature.relations):
+        for combo in itertools.product(range(k), repeat=arity):
+            at = Atom(name, tuple(var(i) for i in combo))
+            atoms.append((r, combo, at, Not(at)))
+    return tuple(eqs), tuple(atoms)
 
 
 @lru_cache(maxsize=128)

@@ -261,10 +261,6 @@ class SeparatingTree:
         return max(len(u) for u in self.leaves)
 
 
-def _canon_formulas(formulas: Iterable[Sentence]) -> tuple[Sentence, ...]:
-    return tuple(sorted(set(formulas), key=to_sexpr))
-
-
 def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
                           space: ModelSpace) -> SeparatingTree:
     """Separate the given one-variable types with nested formula sets.
@@ -272,9 +268,21 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
     At each split, some formula held by part of the active types is paired
     with a formula shared by all remaining ones that is jointly
     unsatisfiable with it over the space; if no such pair exists the types
-    are not separable in this representation.
+    are not separable in this representation.  Formula sets are sorted by
+    their s-expressions, each serialized at most once per call.
     """
-    entries = [(tid, _canon_formulas(fs)) for tid, fs in types]
+    texts: dict[int, str] = {}
+
+    def text(f: Sentence) -> str:
+        t = texts.get(id(f))
+        if t is None:
+            t = texts[id(f)] = to_sexpr(f)
+        return t
+
+    def canon_formulas(formulas: Iterable[Sentence]) -> tuple[Sentence, ...]:
+        return tuple(sorted(set(formulas), key=text))
+
+    entries = [(tid, canon_formulas(fs)) for tid, fs in types]
     if not entries:
         raise PreconditionError("no types given")
     seen_sets = set()
@@ -321,7 +329,7 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
             nodes[u] = fs
             leaves[u] = tid
             return
-        pool = _canon_formulas(f for k in active for f in entries[k][1])
+        pool = canon_formulas(f for k in active for f in entries[k][1])
         for f in pool:
             left = [k for k in active if f in entries[k][1]]
             if not left or len(left) == len(active):
@@ -330,10 +338,10 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
             common = set(entries[rest[0]][1])
             for k in rest[1:]:
                 common &= set(entries[k][1])
-            for g in _canon_formulas(common):
+            for g in canon_formulas(common):
                 if incompatible(f, g):
-                    nodes[u + "0"] = _canon_formulas(acc | {f})
-                    nodes[u + "1"] = _canon_formulas(acc | {g})
+                    nodes[u + "0"] = canon_formulas(acc | {f})
+                    nodes[u + "1"] = canon_formulas(acc | {g})
                     split(u + "0", left, acc | {f})
                     split(u + "1", rest, acc | {g})
                     return

@@ -204,6 +204,23 @@ class TestErrorPaths:
         r = run_cli("scott", str(bad))
         assert r.returncode == 2
 
+    def test_zero_argument_atom_exits_2(self, tmp_path):
+        path = tmp_path / "nullary.json"
+        path.write_text(json.dumps(["(atom P)"]))
+        r = run_cli("verify", "--independent", str(path))
+        assert r.returncode == 2
+        assert "position" in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "T"), ("transform", "T"), ("setfam", "--from-theory", "T"),
+        ("verify", "--independent", "T"), ("fuzz",),
+    ])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_max_size_below_one_is_usage_error(self, argv, bound):
+        r = run_cli(*argv, f"--max-size={bound}")
+        assert r.returncode == 2
+        assert "--max-size" in r.stderr
+
 
 class TestDeepNesting:
     """Chains as deep as the parser admits are answered or exit 2."""

@@ -52,10 +52,13 @@ class TestAst:
         ("(eq x)", True),
         ("()", True),
         ("(and (atom P x)) trailing", True),
+        ("(exists x (atom P))", True),
     ])
     def test_parse_errors(self, bad, pos_known):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_sentence(bad)
+        if pos_known:
+            assert exc.value.position is not None
 
 
 class TestEval:
@@ -246,6 +249,26 @@ class TestSpaceQueries:
             for i in range(0, len(fresh.representatives), 37):
                 assert bool((mask >> i) & 1) == model.eval(
                     fresh.representatives[i], s)
+
+    def test_elem_satset_of_negation_matches_direct_eval(self, ub_sig):
+        import random
+        from indepax import generators
+        rng = random.Random(3)
+        space = enumerate_models(ub_sig, 2)
+        opened = [f for f in (generators.random_formula(rng, 3, ("x",))
+                              for _ in range(40)) if f.free == {"x"}][:8]
+        closed = [generators.random_formula(rng, 3) for _ in range(4)]
+        assert opened and closed
+        for f in opened + closed:
+            # the negation goes first, while f's own sets are uncached
+            neg = space.elem_satset(Not(f), "x")
+            pos = space.elem_satset(f, "x")
+            for rep, n, p in zip(space.representatives, neg, pos):
+                full = (1 << rep.size) - 1
+                assert 0 <= n <= full and 0 <= p <= full
+                for e in range(rep.size):
+                    assert bool((n >> e) & 1) == model.eval(rep, Not(f), {"x": e})
+                    assert bool((p >> e) & 1) == model.eval(rep, f, {"x": e})
 
 
 class TestConcurrency:

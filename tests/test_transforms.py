@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from indepax import generators, model, scott, verify
+from indepax import generators, model, scott, transforms, verify
 from indepax.errors import (DuplicateTypeError, NotApplicableError,
                             PartitionInvalidError, PreconditionError,
                             SeparationFailureError)
@@ -247,6 +247,24 @@ class TestSeparatingTree:
                 if u in tree.nodes:
                     union |= set(tree.nodes[u])
             assert union == by_id[tid]
+
+    def test_each_formula_serialized_at_most_once(self, ub_space, monkeypatch):
+        types = generators.random_type_instance(random.Random(5), ub_space, 4)
+        serialized = []
+        real = transforms.to_sexpr
+
+        def counting(f):
+            serialized.append(id(f))
+            return real(f)
+
+        monkeypatch.setattr(transforms, "to_sexpr", counting)
+        tree = build_separating_tree(types, ub_space)
+        distinct = {id(f) for _tid, fs in types for f in fs}
+        assert len(serialized) == len(set(serialized))
+        assert set(serialized) <= distinct
+        for fs in tree.nodes.values():
+            texts = [real(f) for f in fs]
+            assert all(a < b for a, b in zip(texts, texts[1:]))
 
 
 class TestPhiStar:
