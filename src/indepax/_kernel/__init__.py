@@ -3,6 +3,11 @@
 ``indepax._kernel.active`` is the module used by the evaluator and the
 partition refiner.  Callers look its functions up as attributes at call
 time, so a tracer can wrap them in place.
+
+``active.refine_levels(first, width, init_labels)`` takes each item's
+one-element extensions as one contiguous block: the ``width[i]`` items from
+index ``first[i]`` on (width 0 at the tuple-length cap).  It returns
+``(levels, stable)``.
 """
 
 from . import pure

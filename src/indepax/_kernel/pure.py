@@ -81,29 +81,24 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
     return rec(prog.root)
 
 
-def refine_levels(ext: list[list[int]], init_labels: list[int]):
+def refine_levels(first: list[int], width: list[int], init_labels: list[int]):
     """Iterate one-step signature refinement until the partition repeats.
 
-    ``ext[i]`` lists the item indices reachable from item i by appending one
-    element (empty for items at the tuple-length cap).  Labels are dense,
-    assigned in first-occurrence order, so the result is deterministic.
-    Returns (levels, stable) with levels[k] the labels at level k and
-    ``stable`` the first level whose refinement is itself.
+    The one-element extensions of item i are the ``width[i]`` consecutive
+    items from index ``first[i]`` on (width 0 for items at the tuple-length
+    cap).  An item's signature is its label with the set of its extensions'
+    labels.  Labels are dense, assigned in first-occurrence order, so the
+    result is deterministic.  Returns (levels, stable) with levels[k] the
+    labels at level k and ``stable`` the first level whose refinement is
+    itself.
     """
-    n = len(init_labels)
     levels = [list(init_labels)]
     nclasses = len(set(init_labels))
     while True:
         cur = levels[-1]
         sig2new: dict[tuple, int] = {}
-        new = [0] * n
-        for i in range(n):
-            sig = (cur[i], tuple(sorted({cur[j] for j in ext[i]})))
-            lab = sig2new.get(sig)
-            if lab is None:
-                lab = len(sig2new)
-                sig2new[sig] = lab
-            new[i] = lab
+        new = [sig2new.setdefault((lab, frozenset(cur[f:f + w])), len(sig2new))
+               for lab, f, w in zip(cur, first, width)]
         # refinement only ever splits classes, so an unchanged count means
         # an identical partition
         if len(sig2new) == nclasses:

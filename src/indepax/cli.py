@@ -267,7 +267,7 @@ def cmd_fuzz(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _size_bound(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -282,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None,
                         help="directory for JSON reports (default: stdout)")
     bounded = argparse.ArgumentParser(add_help=False, parents=[output])
-    bounded.add_argument("--max-size", type=_size_bound, default=3,
+    bounded.add_argument("--max-size", type=_positive_int, default=3,
                          help="bound on structure sizes (default 3)")
-    bounded.add_argument("--cap-classes", type=int, default=100_000,
+    bounded.add_argument("--cap-classes", type=_positive_int, default=100_000,
                          help="enumeration cap on isomorphism classes")
 
     p = argparse.ArgumentParser(
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     zp = sub.add_parser("fuzz", parents=[bounded],
                         help="seeded random theories/families through the "
                              "full verify loop")
-    zp.add_argument("--count", type=int, default=20,
+    zp.add_argument("--count", type=_positive_int, default=20,
                     help="instances per kind (default 20)")
     zp.add_argument("--seed", type=int, default=0,
                     help="random seed (default 0)")

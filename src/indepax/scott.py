@@ -14,6 +14,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import _kernel
@@ -39,20 +40,32 @@ class TypeId:
 class TypePartition:
     """Per-level classes of (structure index, tuple) pairs from one joint
     refinement run.  levels[k] refines levels[k-1]; every level at or beyond
-    ``stabilization_level`` equals the stabilized partition."""
+    ``stabilization_level`` equals the stabilized partition.
+
+    Items are laid out per structure, by length 0..n_max, each length block
+    in ``itertools.product`` order; ``offsets[si][length]`` is where that
+    block of structure si starts."""
 
     structures: tuple[Structure, ...]
     n_max: int
     items: tuple[tuple[int, tuple[int, ...]], ...]
-    item_index: dict
+    offsets: tuple[tuple[int, ...], ...]
     levels: tuple[tuple[int, ...], ...]
     stabilization_level: int
 
     def class_at(self, level: int, struct_idx: int, tup: Sequence[int]) -> int:
-        idx = self.item_index.get((struct_idx, tuple(tup)))
-        if idx is None:
+        tup = tuple(tup)
+        if not (0 <= struct_idx < len(self.structures)
+                and len(tup) <= self.n_max
+                and all(0 <= v < self.structures[struct_idx].size
+                        for v in tup)):
             raise PreconditionError(
-                f"tuple {tuple(tup)} not tracked (length cap {self.n_max})")
+                f"tuple {tup} not tracked (length cap {self.n_max})")
+        size = self.structures[struct_idx].size
+        rank = 0
+        for v in tup:
+            rank = rank * size + v
+        idx = self.offsets[struct_idx][len(tup)] + rank
         return self.levels[min(level, self.stabilization_level)][idx]
 
     def type_id(self, level: int, struct_idx: int, tup: Sequence[int]) -> TypeId:
@@ -62,18 +75,49 @@ class TypePartition:
         return max(self.levels[min(level, self.stabilization_level)]) + 1
 
 
-def _atomic_code(M: Structure, tup: tuple[int, ...]) -> tuple:
-    """Canonical value of the atomic type: equality pattern plus all
-    relation facts over the tuple's positions.  Comparable across
-    structures that share a signature."""
-    pat = tuple(tup.index(v) for v in tup)
-    facts = []
-    for (_name, arity), table in zip(M.signature.relations, M.tables):
-        bits = 0
-        for combo in itertools.product(range(len(tup)), repeat=arity):
-            bits = (bits << 1) | (tuple(tup[i] for i in combo) in table)
-        facts.append(bits)
-    return (len(tup), pat, tuple(facts))
+@lru_cache(maxsize=64)
+def _eq_patterns(size: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Equality pattern of each k-tuple over ``size`` elements, in product
+    order: position i holds the first position with the same value."""
+    return tuple(tuple(tup.index(v) for v in tup)
+                 for tup in itertools.product(range(size), repeat=k))
+
+
+@lru_cache(maxsize=64)
+def _fact_getters(size: int, k: int, arity: int) -> tuple[itemgetter, ...]:
+    """Per k-tuple over ``size`` elements, in product order, a getter of the
+    fold-left bit indices (as in ``Structure.masks``) of the tuple's values
+    at every position combination of length ``arity``, combinations in
+    product order.  Needs k >= 1."""
+    combos = list(itertools.product(range(k), repeat=arity))
+    out = []
+    for tup in itertools.product(range(size), repeat=k):
+        bits = []
+        for combo in combos:
+            idx = 0
+            for i in combo:
+                idx = idx * size + tup[i]
+            bits.append(idx)
+        out.append(itemgetter(*bits))
+    return tuple(out)
+
+
+def _atomic_codes(M: Structure, k: int) -> list[tuple]:
+    """Atomic type of every k-tuple of M, in ``itertools.product`` order:
+    ``(k, equality pattern, facts)`` with one int per relation whose bits,
+    first combination highest, say which position combinations hold.
+    Comparable across structures that share a signature."""
+    pats = _eq_patterns(M.size, k)
+    if k == 0 or not M.masks:
+        facts = (0,) * len(M.masks)
+        return [(k, pat, facts) for pat in pats]
+    columns = []
+    for (_name, arity), mask in zip(M.signature.relations, M.masks):
+        # bit idx of the mask is character idx of this string
+        bits = format(mask, f"0{M.size ** arity}b")[::-1]
+        columns.append([int("".join(get(bits)), 2)
+                        for get in _fact_getters(M.size, k, arity)])
+    return [(k, pat, facts) for pat, facts in zip(pats, zip(*columns))]
 
 
 def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
@@ -94,32 +138,36 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
     n_max = max(s.size for s in structures)
 
     items: list[tuple[int, tuple[int, ...]]] = []
-    for si, M in enumerate(structures):
-        for length in range(n_max + 1):
-            items.extend((si, tup) for tup
-                         in itertools.product(range(M.size), repeat=length))
-    item_index = {it: i for i, it in enumerate(items)}
-
+    offsets = []
+    init: list[int] = []
+    first: list[int] = []
+    width: list[int] = []
     code_label: dict[tuple, int] = {}
-    init = []
-    for si, tup in items:
-        code = _atomic_code(structures[si], tup)
-        lab = code_label.get(code)
-        if lab is None:
-            lab = len(code_label)
-            code_label[code] = lab
-        init.append(lab)
+    for si, M in enumerate(structures):
+        n = M.size
+        starts = []
+        for length in range(n_max + 1):
+            start = len(items)
+            starts.append(start)
+            block = n ** length
+            items.extend(zip(itertools.repeat(si),
+                             itertools.product(range(n), repeat=length)))
+            init.extend(code_label.setdefault(code, len(code_label))
+                        for code in _atomic_codes(M, length))
+            # the extensions tup + (c,) of the item of rank r are the n
+            # items from rank r * n on in the next length block
+            if length < n_max:
+                first.extend(range(start + block, start + block * (n + 1), n))
+                width.extend(itertools.repeat(n, block))
+            else:
+                # a repeated 0 is one shared int object: most items are at
+                # the cap, and distinct offsets there cost 0.3 MB of RSS
+                first.extend(itertools.repeat(0, block))
+                width.extend(itertools.repeat(0, block))
+        offsets.append(tuple(starts))
 
-    ext = []
-    for si, tup in items:
-        if len(tup) < n_max:
-            ext.append([item_index[(si, tup + (c,))]
-                        for c in range(structures[si].size)])
-        else:
-            ext.append([])
-
-    levels, stable = _kernel.active.refine_levels(ext, init)
-    return TypePartition(structures, n_max, tuple(items), item_index,
+    levels, stable = _kernel.active.refine_levels(first, width, init)
+    return TypePartition(structures, n_max, tuple(items), tuple(offsets),
                          tuple(tuple(lv) for lv in levels), stable)
 
 
@@ -145,8 +193,12 @@ def types_equal(M: Structure, a: Sequence[int], N: Structure,
             raise PreconditionError(f"tuple {tup} out of range")
     part = _pair_partition(M, N)
     if len(a) > part.n_max:
-        # tuples past the length cap never split beyond their atomic type
-        return _atomic_code(M, a) == _atomic_code(N, b)
+        # tuples past the length cap never split beyond their atomic type:
+        # the equality pattern plus the atomic type of the tuple of distinct
+        # values, which is within the cap and classed at level 0
+        return (tuple(map(a.index, a)) == tuple(map(b.index, b))
+                and part.class_at(0, 0, tuple(dict.fromkeys(a)))
+                == part.class_at(0, 1, tuple(dict.fromkeys(b))))
     return part.class_at(alpha, 0, a) == part.class_at(alpha, 1, b)
 
 
@@ -169,15 +221,22 @@ def canonical_invariant(M: Structure) -> str:
     token is the digest of the empty tuple's class plus the size.
     """
     n = M.size
-    names: dict[tuple[int, ...], str] = {}
+    digests: dict[str, str] = {}
+    names: list[str] = []  # digests of the tuples of one length, by rank
     for length in range(n, -1, -1):
-        for tup in itertools.product(range(n), repeat=length):
-            payload = repr(_atomic_code(M, tup))
+        below, names = names, []
+        for r, code in enumerate(_atomic_codes(M, length)):
+            payload = repr(code)
             if length < n:
-                kids = sorted({names[tup + (c,)] for c in range(n)})
+                # the extensions of the tuple of rank r, in product order
+                kids = sorted(set(below[r * n:(r + 1) * n]))
                 payload += "|" + ",".join(kids)
-            names[tup] = hashlib.sha256(payload.encode()).hexdigest()
-    token = f"{n}|{names[()]}"
+            name = digests.get(payload)
+            if name is None:
+                name = hashlib.sha256(payload.encode()).hexdigest()
+                digests[payload] = name
+            names.append(name)
+    token = f"{n}|{names[0]}"
     return hashlib.sha256(token.encode()).hexdigest()
 
 

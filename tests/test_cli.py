@@ -221,6 +221,17 @@ class TestErrorPaths:
         assert r.returncode == 2
         assert "--max-size" in r.stderr
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("verify", "--independent", "T"), "--cap-classes"),
+        (("fuzz",), "--cap-classes"),
+        (("fuzz", "--max-size", "1"), "--count"),
+    ])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, argv, flag, bound):
+        r = run_cli(*argv, f"{flag}={bound}")
+        assert r.returncode == 2
+        assert flag in r.stderr
+
 
 class TestDeepNesting:
     """Chains as deep as the parser admits are answered or exit 2."""

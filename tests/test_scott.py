@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -67,6 +68,95 @@ class TestJointPartition:
             assert part.stabilization_level <= len(part.items)
 
 
+def reference_atomic_code(M, tup):
+    """Atomic type of one tuple by set membership in ``M.tables``."""
+    pat = tuple(tup.index(v) for v in tup)
+    facts = []
+    for (_name, arity), table in zip(M.signature.relations, M.tables):
+        bits = 0
+        for combo in itertools.product(range(len(tup)), repeat=arity):
+            bits = (bits << 1) | (tuple(tup[i] for i in combo) in table)
+        facts.append(bits)
+    return (len(tup), pat, tuple(facts))
+
+
+def random_structure(rng, sig, n, p=0.4):
+    return Structure.make(sig, n, {
+        name: [t for t in itertools.product(range(n), repeat=arity)
+               if rng.random() < p]
+        for name, arity in sig.relations})
+
+
+def reference_partition(structures):
+    """Joint refinement over explicit per-item extension sets: the item
+    list, the labels of each level and the stabilization level."""
+    n_max = max(M.size for M in structures)
+    items = [(si, tup) for si, M in enumerate(structures)
+             for length in range(n_max + 1)
+             for tup in itertools.product(range(M.size), repeat=length)]
+    index = {it: i for i, it in enumerate(items)}
+    ext = [[index[(si, tup + (c,))] for c in range(structures[si].size)]
+           if len(tup) < n_max else [] for si, tup in items]
+
+    def dense(keys):
+        seen = {}
+        return [seen.setdefault(k, len(seen)) for k in keys]
+
+    levels = [dense(reference_atomic_code(structures[si], tup)
+                    for si, tup in items)]
+    while True:
+        cur = levels[-1]
+        new = dense((cur[i], frozenset(cur[j] for j in ext[i]))
+                    for i in range(len(items)))
+        if len(set(new)) == len(set(cur)):
+            return items, levels, len(levels) - 1
+        levels.append(new)
+
+
+SIGNATURES = {
+    "empty": Signature(()),
+    "unary+binary": Signature((("P", 1), ("R", 2))),
+    "ternary": Signature((("Q", 1), ("T", 3))),
+}
+
+
+class TestAtomicCodes:
+    @pytest.mark.parametrize("name", sorted(SIGNATURES))
+    def test_match_set_membership_oracle(self, name):
+        sig = SIGNATURES[name]
+        rng = random.Random(name)
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                M = random_structure(rng, sig, n)
+                for k in range(5):
+                    want = [reference_atomic_code(M, tup) for tup
+                            in itertools.product(range(n), repeat=k)]
+                    assert scott._atomic_codes(M, k) == want
+
+
+class TestJointPartitionReference:
+    @pytest.mark.parametrize("name", sorted(SIGNATURES))
+    def test_mixed_sizes_match_reference_refinement(self, name):
+        sig = SIGNATURES[name]
+        rng = random.Random(f"partition-{name}")
+        for sizes in ((1, 3), (2, 3, 1), (3, 2, 2), (1, 1, 2)):
+            structs = [random_structure(rng, sig, n) for n in sizes]
+            items, levels, stable = reference_partition(structs)
+            part = scott.joint_type_partition(structs)
+            assert part.items == tuple(items)
+            assert part.stabilization_level == stable
+            assert [list(lv) for lv in part.levels] == levels
+            for idx, (si, tup) in enumerate(items):
+                assert part.class_at(stable, si, tup) == levels[stable][idx]
+
+    def test_class_at_rejects_untracked_tuples(self, sig):
+        part = scott.joint_type_partition([cycle(sig, 2), cycle(sig, 3)])
+        for si, tup in ((0, (0, 2)), (0, (0, 0, 0, 0)), (1, (3,)),
+                        (0, (-1,)), (2, ()), (-1, ())):
+            with pytest.raises(PreconditionError):
+                part.class_at(0, si, tup)
+
+
 class TestTypesEqual:
     def test_reflexive(self, sig):
         M = cycle(sig, 3)
@@ -82,6 +172,25 @@ class TestTypesEqual:
         lin = Structure.make(sig, 2, {"R": [(0, 1)]})
         assert scott.types_equal(lin, (0,), lin, (1,), 0)
         assert not scott.types_equal(lin, (0,), lin, (1,), 1)
+
+    def test_beyond_length_cap_compares_atomic_types(self):
+        sig = SIGNATURES["unary+binary"]
+        rng = random.Random(7)
+        for _ in range(20):
+            M = random_structure(rng, sig, rng.randint(1, 3))
+            perm = list(range(M.size))
+            rng.shuffle(perm)
+            N = (M.apply_permutation(perm) if rng.random() < 0.5
+                 else random_structure(rng, sig, rng.randint(1, 3)))
+            k = max(M.size, N.size) + rng.randint(1, 2)
+            for _ in range(20):
+                a = tuple(rng.randrange(M.size) for _ in range(k))
+                if N.size == M.size and rng.random() < 0.5:
+                    b = tuple(perm[v] for v in a)  # an image of a
+                else:
+                    b = tuple(rng.randrange(N.size) for _ in range(k))
+                assert scott.types_equal(M, a, N, b, 3) == (
+                    reference_atomic_code(M, a) == reference_atomic_code(N, b))
 
     def test_length_mismatch(self, sig):
         M = cycle(sig, 3)
@@ -201,6 +310,15 @@ class TestCanonicalInvariant:
                 N = rand()
             assert (scott.canonical_invariant(M) == scott.canonical_invariant(N)) \
                 == verify.oracle_isomorphic(M, N)[0]
+
+    def test_invariants_of_fuzz_space_are_pinned(self, ub_space):
+        # the digest of the 792 invariants of the P/1 + R/2 max-size-3
+        # space as computed with set-membership atomic types; a change to
+        # the payload text or to the atomic codes changes it
+        joined = "\n".join(scott.canonical_invariant(M)
+                           for M in ub_space.representatives)
+        assert hashlib.sha256(joined.encode()).hexdigest() == (
+            "95c29c0c093ee1175eba7f7fedcd4c2c03e06c16bf999ec67f48f1d8b61ae443")
 
 
 class TestAlphaTypes:
