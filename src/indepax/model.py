@@ -13,7 +13,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _kernel
@@ -430,15 +430,18 @@ class Structure:
         return Structure(self.signature, self.size, tabs)
 
 
-def _unrank_cells(mask: int, size: int, arity: int):
-    for flat in range(size ** arity):
-        if (mask >> flat) & 1:
-            coords = []
-            x = flat
-            for _ in range(arity):
-                coords.append(x % size)
-                x //= size
-            yield tuple(reversed(coords))
+@lru_cache(maxsize=64)
+def _cells(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """The tuples of a relation over ``size`` elements; tuple i is the one
+    with fold-left index i, so bit i of a mask says whether it holds."""
+    return tuple(itertools.product(range(size), repeat=arity))
+
+
+def _mask_table(mask: int, size: int, arity: int) -> frozenset[tuple[int, ...]]:
+    """The relation table whose ``Structure.masks`` entry is ``mask``."""
+    cells = _cells(size, arity)
+    bits = format(mask, f"0{len(cells)}b")[::-1]
+    return frozenset(itertools.compress(cells, map("1".__eq__, bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -673,77 +676,117 @@ class ModelSpace:
         return self.representatives[(mask & -mask).bit_length() - 1]
 
 
+# Masks are permuted through lookup tables over chunks of this many bits.
+# A chunk of w bits costs 2**w / w table entries per cell and permutation:
+# wider chunks permute faster, but the tables of all n! permutations of a
+# large universe (a unary relation at size 9 has 362,880) would not fit.
+_CHUNK = 4
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _perm_tables(size: int, arity: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per permutation of ``range(size)``, in ``itertools.permutations``
+    order (the identity first), one lookup table per ``_CHUNK``-bit chunk of
+    a relation mask, low chunk first: entry v of chunk j's table is the
+    image under the permutation of the cells whose bits v sets in that
+    chunk.  Images of distinct cells are distinct bits, so a mask's image
+    is the OR of its chunks' entries."""
+    cells = _cells(size, arity)
+    out = []
+    for perm in itertools.permutations(range(size)):
+        bits = []
+        for tup in cells:
+            idx = 0
+            for v in tup:
+                idx = idx * size + perm[v]
+            bits.append(1 << idx)
+        tabs = []
+        for lo in range(0, len(bits), _CHUNK):
+            tab = [0]
+            for b in bits[lo:lo + _CHUNK]:  # entries with this bit set
+                tab += [t | b for t in tab]
+            tabs.append(tuple(tab))
+        out.append(tuple(tabs))
+    return out
+
+
+def _canonical_keys(signature: Signature, size: int):
+    """The least keys (``Structure.masks``) of the isomorphism classes of
+    structures of one size, in increasing order.
+
+    A key is least iff no permutation maps it to a smaller one, and a
+    permutation does so iff it fixes the masks of some relations r' < r and
+    lowers the mask of relation r.  So a depth-first walk over the
+    relations, in signature order and each relation's masks in increasing
+    order, keeps a mask iff no permutation in the stabilizer of the masks
+    chosen before it lowers it, and passes the permutations that fix it on
+    to the next relation; a lowered prefix prunes every completion.
+    """
+    arities = [a for _name, a in signature.relations]
+    widths = [size ** a for a in arities]
+    tables = {a: _perm_tables(size, a) for a in set(arities)}
+    # per permutation but the identity, its chunk tables for each relation
+    rows = list(zip(*(tables[a] for a in arities)))[1:]
+
+    def walk(r, stab, prefix):
+        if r == len(arities):
+            yield prefix
+            return
+        for m in range(1 << widths[r]):
+            fixed = []
+            for row in stab:
+                pm, x = 0, m
+                for tab in row[r]:
+                    pm |= tab[x & _CHUNK_MASK]
+                    x >>= _CHUNK
+                if pm < m:
+                    break
+                if pm == m:
+                    fixed.append(row)
+            else:
+                yield from walk(r + 1, fixed, prefix + (m,))
+
+    return walk(0, rows, ())
+
+
 def enumerate_models(signature: Signature, max_size: int,
                      class_cap: Optional[int] = 100_000,
                      labeled_cap: int = 2_000_000) -> ModelSpace:
     """One canonical representative per isomorphism class of size 1..max_size.
 
-    Deduplication is by lexicographically minimal relation-table encoding
-    over all universe permutations; representatives are the canonical
-    relabelings, ordered by (size, canonical key).
+    A structure's key is its ``masks`` tuple.  A class's representative is
+    its member with the least key over all universe permutations, and
+    representatives are ordered by (size, key).  The least keys of each
+    size are generated directly, in increasing order, by a canonicity test
+    on each relation's mask given the masks before it (orderly generation,
+    Read 1978; see ``_canonical_keys``), so no labeled structure is
+    relabeled n! times and nothing is deduplicated or sorted.
+
+    ``labeled_cap`` bounds the labeled structures of one size, checked
+    before that size is generated; ``class_cap`` bounds the classes of all
+    sizes together.
     """
     if max_size < 1:
         raise EnumerationOverflowError("max_size must be >= 1")
     reps: list[Structure] = []
     for n in range(1, max_size + 1):
-        cells = [n ** arity for _name, arity in signature.relations]
         total = 1
-        for c in cells:
-            total *= 2 ** c
+        for _name, arity in signature.relations:
+            total *= 2 ** (n ** arity)
             if total > labeled_cap:
                 raise EnumerationOverflowError(
                     f"{total}+ labeled structures of size {n} exceeds cap "
                     f"{labeled_cap}")
-        perms = list(itertools.permutations(range(n)))
-        # cell index permutation per relation per universe permutation
-        cellmaps = []
-        for (_name, arity), ncells in zip(signature.relations, cells):
-            maps = []
-            for perm in perms:
-                m = [0] * ncells
-                for flat in range(ncells):
-                    coords = []
-                    x = flat
-                    for _ in range(arity):
-                        coords.append(x % n)
-                        x //= n
-                    coords.reverse()
-                    tgt = 0
-                    for c in coords:
-                        tgt = tgt * n + perm[c]
-                    m[flat] = tgt
-                maps.append(m)
-            cellmaps.append(maps)
-
-        seen: set[tuple[int, ...]] = set()
-        canon_keys: list[tuple[int, ...]] = []
-        for combo in itertools.product(*(range(2 ** c) for c in cells)):
-            best = None
-            for p in range(len(perms)):
-                cand = []
-                for r, mask in enumerate(combo):
-                    pm = 0
-                    cmap = cellmaps[r][p]
-                    mm = mask
-                    while mm:
-                        low = mm & -mm
-                        pm |= 1 << cmap[low.bit_length() - 1]
-                        mm ^= low
-                    cand.append(pm)
-                cand = tuple(cand)
-                if best is None or cand < best:
-                    best = cand
-            if best not in seen:
-                seen.add(best)
-                canon_keys.append(best)
-                if class_cap is not None and len(seen) + len(reps) > class_cap:
-                    raise EnumerationOverflowError(
-                        f"more than {class_cap} isomorphism classes")
-        for key in sorted(canon_keys):
-            tabs = tuple(frozenset(_unrank_cells(mask, n, arity))
+        for key in _canonical_keys(signature, n):
+            if class_cap is not None and len(reps) >= class_cap:
+                raise EnumerationOverflowError(
+                    f"more than {class_cap} isomorphism classes")
+            tabs = tuple(_mask_table(mask, n, arity)
                          for mask, (_name, arity)
                          in zip(key, signature.relations))
-            reps.append(Structure(signature, n, tabs))
+            rep = Structure(signature, n, tabs)
+            rep.__dict__["masks"] = key  # seed the cached_property
+            reps.append(rep)
     return ModelSpace(signature, max_size, tuple(reps))
 
 

@@ -18,10 +18,16 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import _kernel
-from .errors import (MaterializationRefusedError, PreconditionError,
-                     SignatureMismatchError)
+from .errors import (EnumerationOverflowError, MaterializationRefusedError,
+                     PreconditionError, SignatureMismatchError)
 from .model import (And, Atom, Eq, ModelSpace, Not, Or, Sentence,
                     Signature, Structure, exists_block, forall_block)
+
+
+# Items are (structure, tuple) pairs.  Refinement holds about 375 bytes per
+# item (R/2 at max-size 4: 1,050,908 items, 396 MB peak RSS), so the cap
+# keeps a partition under about 750 MB.
+MAX_PARTITION_ITEMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,6 @@ class TypePartition:
         idx = self.offsets[struct_idx][len(tup)] + rank
         return self.levels[min(level, self.stabilization_level)][idx]
 
-    def type_id(self, level: int, struct_idx: int, tup: Sequence[int]) -> TypeId:
-        return TypeId(level, self.class_at(level, struct_idx, tup))
-
     def classes_at(self, level: int) -> int:
         return max(self.levels[min(level, self.stabilization_level)]) + 1
 
@@ -102,22 +105,28 @@ def _fact_getters(size: int, k: int, arity: int) -> tuple[itemgetter, ...]:
     return tuple(out)
 
 
-def _atomic_codes(M: Structure, k: int) -> list[tuple]:
+@lru_cache(maxsize=16)
+def _atomic_codes(M: Structure, k: int) -> tuple[tuple, ...]:
     """Atomic type of every k-tuple of M, in ``itertools.product`` order:
     ``(k, equality pattern, facts)`` with one int per relation whose bits,
     first combination highest, say which position combinations hold.
-    Comparable across structures that share a signature."""
+    Comparable across structures that share a signature.
+
+    Cached for the few most recent calls, enough for every length of one
+    structure, so ``canonical_invariant(M)`` and the self-partition behind
+    ``scott_height(M)`` compute each length's codes once; a joint partition
+    over many structures passes through without keeping their codes."""
     pats = _eq_patterns(M.size, k)
     if k == 0 or not M.masks:
         facts = (0,) * len(M.masks)
-        return [(k, pat, facts) for pat in pats]
+        return tuple((k, pat, facts) for pat in pats)
     columns = []
     for (_name, arity), mask in zip(M.signature.relations, M.masks):
         # bit idx of the mask is character idx of this string
         bits = format(mask, f"0{M.size ** arity}b")[::-1]
         columns.append([int("".join(get(bits)), 2)
                         for get in _fact_getters(M.size, k, arity)])
-    return [(k, pat, facts) for pat, facts in zip(pats, zip(*columns))]
+    return tuple((k, pat, facts) for pat, facts in zip(pats, zip(*columns)))
 
 
 def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
@@ -127,6 +136,9 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
     grouped at level a and their one-element extensions realize the same set
     of level-a classes (extension stops at the length cap).  Halts at the
     first level equal to its predecessor.
+
+    Raises EnumerationOverflowError, before allocating anything, when the
+    partition would have more than ``MAX_PARTITION_ITEMS`` items.
     """
     structures = tuple(structures)
     if not structures:
@@ -136,6 +148,12 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         if s.signature != sig:
             raise SignatureMismatchError("structures over different signatures")
     n_max = max(s.size for s in structures)
+    count = sum(M.size ** length for M in structures
+                for length in range(n_max + 1))
+    if count > MAX_PARTITION_ITEMS:
+        raise EnumerationOverflowError(
+            f"joint type partition of {count} items exceeds cap "
+            f"{MAX_PARTITION_ITEMS}")
 
     items: list[tuple[int, tuple[int, ...]]] = []
     offsets = []

@@ -233,6 +233,19 @@ class TestErrorPaths:
         assert flag in r.stderr
 
 
+    def test_oversized_partition_exits_1(self, tmp_path):
+        # P/1 + R/2 at max-size 4: 46,752 classes, whose joint partition
+        # would have 15,764,488 items
+        path = tmp_path / "pr.json"
+        path.write_text(json.dumps(
+            ["(exists x (atom P x))", "(exists x (exists y (atom R x y)))"]))
+        r = run_cli("analyze", str(path), "--max-size", "4")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: joint type partition of 15764488 "
+                                   "items exceeds cap 2000000")
+        assert "Traceback" not in r.stderr
+
+
 class TestDeepNesting:
     """Chains as deep as the parser admits are answered or exit 2."""
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -146,6 +148,48 @@ class TestEnumeration:
             enumerate_models(binary_sig, 3, class_cap=10)
         with pytest.raises(EnumerationOverflowError):
             enumerate_models(binary_sig, 6, labeled_cap=1000)
+
+    @pytest.mark.parametrize("relations,max_size,digest", [
+        ((("P", 1), ("R", 2)), 3,
+         "18f29bf1302b8ebbb73f7c827508f72bb078a6b217df8e2b3cf2d00cc3568642"),
+        ((("R", 2),), 4,
+         "c72bedadfa570eb91b943b2a121a9b4ed1088931e33caccf178b6f6e91f0713c"),
+        ((("P", 1), ("R", 2)), 4,
+         "362d6b3312158261fd923089c93e35af4006ed067a14fcf8d23836fbc5c30542"),
+    ])
+    def test_representatives_are_pinned(self, relations, max_size, digest):
+        # digests of the spaces enumerated by taking the least relabeling
+        # of every labeled structure: 792, 3,160 and 46,752 classes
+        space = enumerate_models(Signature(relations), max_size)
+        text = repr([(M.size, M.masks) for M in space.representatives])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("relations,max_size", [
+        ((("R", 2),), 3),
+        ((("P", 1), ("R", 2)), 2),
+        ((("Q", 1), ("T", 3)), 2),
+        ((), 3),
+    ])
+    def test_least_relabelings_of_all_labeled_structures(self, relations,
+                                                         max_size):
+        sig = Signature(relations)
+        want = set()
+        for n in range(1, max_size + 1):
+            cells = [list(itertools.product(range(n), repeat=arity))
+                     for _name, arity in relations]
+            for picks in itertools.product(*(
+                    itertools.product((False, True), repeat=len(c))
+                    for c in cells)):
+                M = Structure.make(sig, n, {
+                    name: itertools.compress(c, pick) for (name, _arity), c,
+                    pick in zip(relations, cells, picks)})
+                want.add((n, min(M.apply_permutation(p).masks
+                                 for p in itertools.permutations(range(n)))))
+        reps = enumerate_models(sig, max_size).representatives
+        assert [(M.size, M.masks) for M in reps] == sorted(want)
+        # the masks a representative carries are those of its tables
+        assert all(Structure(sig, M.size, M.tables).masks == M.masks
+                   for M in reps)
 
     def test_representatives_have_least_masks(self, binary_space):
         import itertools

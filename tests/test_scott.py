@@ -5,7 +5,8 @@ import random
 import pytest
 
 from indepax import model, scott, verify
-from indepax.errors import (MaterializationRefusedError, PreconditionError,
+from indepax.errors import (EnumerationOverflowError,
+                            MaterializationRefusedError, PreconditionError,
                             SignatureMismatchError)
 from indepax.model import Signature, Structure, parse_sentence
 
@@ -47,6 +48,21 @@ class TestJointPartition:
         N = Structure.make(Signature((("S", 2),)), 2, {})
         with pytest.raises(SignatureMismatchError):
             scott.joint_type_partition([M, N])
+
+    def test_item_cap_refuses_before_allocating(self, sig):
+        # 1 + 4 + 16 + 64 + 256 = 341 items per size-4 structure; 5,866
+        # copies are 2,000,306 items, which would take about 750 MB
+        M = cycle(sig, 4)
+        with pytest.raises(EnumerationOverflowError,
+                           match="2000306 items exceeds cap 2000000"):
+            scott.joint_type_partition([M] * 5866)
+
+    def test_item_cap_is_inclusive(self, sig, monkeypatch):
+        M = cycle(sig, 4)
+        monkeypatch.setattr(scott, "MAX_PARTITION_ITEMS", 2 * 341)
+        assert len(scott.joint_type_partition([M, M]).items) == 2 * 341
+        with pytest.raises(EnumerationOverflowError):
+            scott.joint_type_partition([M] * 3)
 
     def test_refinement_and_stabilization_properties(self, sig):
         rng = random.Random(0)
@@ -129,8 +145,8 @@ class TestAtomicCodes:
             for _ in range(3):
                 M = random_structure(rng, sig, n)
                 for k in range(5):
-                    want = [reference_atomic_code(M, tup) for tup
-                            in itertools.product(range(n), repeat=k)]
+                    want = tuple(reference_atomic_code(M, tup) for tup
+                                 in itertools.product(range(n), repeat=k))
                     assert scott._atomic_codes(M, k) == want
 
 
@@ -310,6 +326,17 @@ class TestCanonicalInvariant:
                 N = rand()
             assert (scott.canonical_invariant(M) == scott.canonical_invariant(N)) \
                 == verify.oracle_isomorphic(M, N)[0]
+
+    def test_shares_atomic_codes_with_scott_height(self):
+        # a structure no other test builds, so every cache below misses
+        sig = Signature((("P", 1), ("R", 2), ("S", 2)))
+        M = Structure.make(sig, 4, {"P": [(3,)], "R": [(0, 1), (2, 2)],
+                                    "S": [(1, 3), (3, 0)]})
+        scott._atomic_codes.cache_clear()
+        scott.canonical_invariant(M)
+        scott.scott_height(M)
+        info = scott._atomic_codes.cache_info()
+        assert (info.misses, info.hits) == (5, 5)
 
     def test_invariants_of_fuzz_space_are_pinned(self, ub_space):
         # the digest of the 792 invariants of the P/1 + R/2 max-size-3
