@@ -1,9 +1,194 @@
-"""Pure-Python kernel: the hot inner loops of evaluation and refinement."""
+"""Pure-Python kernel: the hot inner loops of evaluation and refinement.
 
-from .program import (OP_AND, OP_ATOM, OP_EQ, OP_EXISTS, OP_FORALL, OP_NOT,
-                      OP_OR, Program)
+A compiled sentence is a DAG of numbered nodes, each compiled once to a
+closure that evaluates it (Feeley & Lapalme 1987, "Using closures for code
+generation"): the opcode dispatch is paid when the program is built, not
+per node per structure.
+"""
+
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Optional
 
 BACKEND = "pure"
+
+OP_ATOM = 0
+OP_EQ = 1
+OP_NOT = 2
+OP_AND = 3
+OP_OR = 4
+OP_EXISTS = 5
+OP_FORALL = 6
+
+
+@dataclass
+class Program:
+    """Sentence DAG compiled to one closure per node, children first.
+
+    ops[i]    opcode of node i
+    used[i]   sorted env slots that node i's subtree reads (its memo key)
+    nodes[i]  node i's runner
+    run       the root's runner
+    nslots    env slots the program reads or binds
+
+    A runner is called as ``run(env, ctx)``.  ``env`` is a list of slot
+    values, free slots first; quantifier nodes overwrite their bound slot.
+    ``ctx`` is ``(size, masks, memo)``, made fresh per evaluation:
+    relation ``r`` holds the tuples set in ``masks[r]`` and ``memo`` maps
+    (node, values of its used slots) to the node's truth value.  Runners
+    hold no mutable state of their own, so threads may share a program.
+    A runner's result is truthy iff the node holds.
+    """
+
+    ops: list[int] = field(default_factory=list)
+    used: list[tuple[int, ...]] = field(default_factory=list)
+    nodes: list[Callable] = field(default_factory=list)
+    run: Optional[Callable] = None
+    nslots: int = 0
+
+    def add_node(self, op: int, a1: int = -1, a2: int = -1,
+                 kids: tuple[int, ...] = (), used: tuple[int, ...] = ()) -> int:
+        """Append node ``len(ops)`` and compile its runner.
+
+        ATOM: ``a1`` relation index, ``kids`` argument slots.  EQ: ``a1``,
+        ``a2`` the two slots.  NOT: ``a1`` child node.  AND/OR: ``kids``
+        child nodes.  EXISTS/FORALL: ``a1`` child node, ``a2`` bound slot.
+        Children must already be nodes of this program.
+        """
+        idx = len(self.ops)
+        self.ops.append(op)
+        self.used.append(used)
+        self.nodes.append(_COMPILE[op](idx, a1, a2, kids, used, self.nodes))
+        return idx
+
+
+def _atom(i, rel, _a2, slots, _used, _nodes):
+    # bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left)
+    if len(slots) == 1:
+        (a,) = slots
+
+        def run(env, ctx):
+            return ctx[1][rel] >> env[a] & 1
+    elif len(slots) == 2:
+        a, b = slots
+
+        def run(env, ctx):
+            return ctx[1][rel] >> (env[a] * ctx[0] + env[b]) & 1
+    else:
+        def run(env, ctx):
+            size = ctx[0]
+            idx = 0
+            for s in slots:
+                idx = idx * size + env[s]
+            return ctx[1][rel] >> idx & 1
+    return run
+
+
+def _eq(i, a, b, _kids, _used, _nodes):
+    def run(env, ctx):
+        return env[a] == env[b]
+    return run
+
+
+def _not(i, c, _a2, _kids, _used, nodes):
+    child = nodes[c]
+
+    def run(env, ctx):
+        return not child(env, ctx)
+    return run
+
+
+# The memoised nodes below look up their memo inline, not through a shared
+# wrapper, and loop over children in plain ``for`` loops, not all()/any()
+# over a generator: either would add stack frames per nesting level, and
+# the deepest chains the parser accepts would then overflow.
+
+def _key_getter(used):
+    """Values of the used slots from ``env``; None for a closed node, whose
+    memo key is the node number alone."""
+    return itemgetter(*used) if used else None
+
+
+def _and(i, _a1, _a2, kids, used, nodes):
+    children = tuple(nodes[k] for k in kids)
+    get = _key_getter(used)
+
+    def run(env, ctx):
+        key = (i, get(env)) if get else i
+        memo = ctx[2]
+        res = memo.get(key)
+        if res is None:
+            res = True
+            for c in children:
+                if not c(env, ctx):
+                    res = False
+                    break
+            memo[key] = res
+        return res
+    return run
+
+
+def _or(i, _a1, _a2, kids, used, nodes):
+    children = tuple(nodes[k] for k in kids)
+    get = _key_getter(used)
+
+    def run(env, ctx):
+        key = (i, get(env)) if get else i
+        memo = ctx[2]
+        res = memo.get(key)
+        if res is None:
+            res = False
+            for c in children:
+                if c(env, ctx):
+                    res = True
+                    break
+            memo[key] = res
+        return res
+    return run
+
+
+def _exists(i, c, slot, _kids, used, nodes):
+    child = nodes[c]
+    get = _key_getter(used)
+
+    def run(env, ctx):
+        key = (i, get(env)) if get else i
+        memo = ctx[2]
+        res = memo.get(key)
+        if res is None:
+            res = False
+            for v in range(ctx[0]):
+                env[slot] = v
+                if child(env, ctx):
+                    res = True
+                    break
+            memo[key] = res
+        return res
+    return run
+
+
+def _forall(i, c, slot, _kids, used, nodes):
+    child = nodes[c]
+    get = _key_getter(used)
+
+    def run(env, ctx):
+        key = (i, get(env)) if get else i
+        memo = ctx[2]
+        res = memo.get(key)
+        if res is None:
+            res = True
+            for v in range(ctx[0]):
+                env[slot] = v
+                if not child(env, ctx):
+                    res = False
+                    break
+            memo[key] = res
+        return res
+    return run
+
+
+_COMPILE = {OP_ATOM: _atom, OP_EQ: _eq, OP_NOT: _not, OP_AND: _and,
+            OP_OR: _or, OP_EXISTS: _exists, OP_FORALL: _forall}
 
 
 def eval_program(prog: Program, size: int, masks: tuple[int, ...],
@@ -11,74 +196,11 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
     """Evaluate a compiled sentence over a structure of ``size`` elements
     whose relation ``r`` holds the tuples set in ``masks[r]``.
 
-    Bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left).
     ``env0`` fills the free slots; quantifier nodes extend the environment.
     AND/OR/quantifier results are memoised on the slots their subtree reads.
     """
-    ops = prog.ops
-    arg1 = prog.arg1
-    arg2 = prog.arg2
-    cstart = prog.cstart
-    cend = prog.cend
-    children = prog.children
-    used = prog.used
-    env = [0] * max(prog.nslots, len(env0))
-    env[:len(env0)] = env0
-    getenv = env.__getitem__
-    memo: dict[tuple, bool] = {}
-
-    def rec(i: int) -> bool:
-        op = ops[i]
-        if op == OP_ATOM:
-            idx = 0
-            for k in range(cstart[i], cend[i]):
-                idx = idx * size + env[children[k]]
-            return bool((masks[arg1[i]] >> idx) & 1)
-        if op == OP_EQ:
-            return env[arg1[i]] == env[arg2[i]]
-        if op == OP_NOT:
-            return not rec(arg1[i])
-        key = (i, *map(getenv, used[i]))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        # plain loops, not all()/any() over a generator: the generator adds
-        # stack frames per nesting level, and the deepest chains the parser
-        # accepts would then overflow
-        if op == OP_AND:
-            res = True
-            for k in range(cstart[i], cend[i]):
-                if not rec(children[k]):
-                    res = False
-                    break
-        elif op == OP_OR:
-            res = False
-            for k in range(cstart[i], cend[i]):
-                if rec(children[k]):
-                    res = True
-                    break
-        elif op == OP_EXISTS:
-            slot, child = arg2[i], arg1[i]
-            res = False
-            for v in range(size):
-                env[slot] = v
-                if rec(child):
-                    res = True
-                    break
-        elif op == OP_FORALL:
-            slot, child = arg2[i], arg1[i]
-            res = True
-            for v in range(size):
-                env[slot] = v
-                if not rec(child):
-                    res = False
-                    break
-        else:
-            raise AssertionError(f"bad opcode {op}")
-        memo[key] = res
-        return res
-
-    return rec(prog.root)
+    env = [*env0, *[0] * (prog.nslots - len(env0))]
+    return bool(prog.run(env, (size, masks, {})))
 
 
 def refine_levels(first: list[int], width: list[int], init_labels: list[int]):

@@ -29,7 +29,16 @@ MAX_PARSE_DEPTH = 400
 # Sentence AST (interned)
 # ---------------------------------------------------------------------------
 
+# Keys hold child nodes themselves (nodes hash and compare by identity), and
+# the table keeps every node alive, so an id never names two nodes.
 _INTERN: dict = {}
+# one frozenset per distinct free-variable set: many nodes, few sets
+_FREE: dict = {}
+
+
+def _free(names: Iterable[str]) -> frozenset[str]:
+    s = frozenset(names)
+    return _FREE.setdefault(s, s)
 
 
 class Sentence:
@@ -53,7 +62,7 @@ class Atom(Sentence):
             node = object.__new__(cls)
             node.rel = rel
             node.args = args
-            node.free = frozenset(args)
+            node.free = _free(args)
             _INTERN[key] = node
         return node
 
@@ -68,7 +77,7 @@ class Eq(Sentence):
             node = object.__new__(cls)
             node.left = left
             node.right = right
-            node.free = frozenset((left, right))
+            node.free = _free((left, right))
             _INTERN[key] = node
         return node
 
@@ -77,7 +86,7 @@ class Not(Sentence):
     __slots__ = ("child",)
 
     def __new__(cls, child: Sentence):
-        key = (2, id(child))
+        key = (2, child)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -87,16 +96,6 @@ class Not(Sentence):
         return node
 
 
-def _dedup(children: Iterable[Sentence]) -> tuple[Sentence, ...]:
-    seen = set()
-    out = []
-    for c in children:
-        if id(c) not in seen:
-            seen.add(id(c))
-            out.append(c)
-    return tuple(out)
-
-
 class And(Sentence):
     """Finite conjunction over a set of children (duplicates collapse, a
     single child collapses to itself, the empty conjunction is true)."""
@@ -104,15 +103,15 @@ class And(Sentence):
     __slots__ = ("children",)
 
     def __new__(cls, children: Iterable[Sentence]):
-        kids = _dedup(children)
+        kids = tuple(dict.fromkeys(children))  # nodes hash by identity
         if len(kids) == 1:
             return kids[0]
-        key = (3, tuple(map(id, kids)))
+        key = (3, kids)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
             node.children = kids
-            node.free = frozenset().union(*(c.free for c in kids)) if kids else frozenset()
+            node.free = _free(frozenset().union(*(c.free for c in kids)))
             _INTERN[key] = node
         return node
 
@@ -123,15 +122,15 @@ class Or(Sentence):
     __slots__ = ("children",)
 
     def __new__(cls, children: Iterable[Sentence]):
-        kids = _dedup(children)
+        kids = tuple(dict.fromkeys(children))  # nodes hash by identity
         if len(kids) == 1:
             return kids[0]
-        key = (4, tuple(map(id, kids)))
+        key = (4, kids)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
             node.children = kids
-            node.free = frozenset().union(*(c.free for c in kids)) if kids else frozenset()
+            node.free = _free(frozenset().union(*(c.free for c in kids)))
             _INTERN[key] = node
         return node
 
@@ -140,13 +139,13 @@ class Exists(Sentence):
     __slots__ = ("var", "child")
 
     def __new__(cls, var: str, child: Sentence):
-        key = (5, var, id(child))
+        key = (5, var, child)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
             node.var = var
             node.child = child
-            node.free = child.free - {var}
+            node.free = _free(child.free - {var})
             _INTERN[key] = node
         return node
 
@@ -155,13 +154,13 @@ class Forall(Sentence):
     __slots__ = ("var", "child")
 
     def __new__(cls, var: str, child: Sentence):
-        key = (6, var, id(child))
+        key = (6, var, child)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
             node.var = var
             node.child = child
-            node.free = child.free - {var}
+            node.free = _free(child.free - {var})
             _INTERN[key] = node
         return node
 
@@ -448,15 +447,18 @@ def _mask_table(mask: int, size: int, arity: int) -> frozenset[tuple[int, ...]]:
 # Compiling sentences to kernel programs
 # ---------------------------------------------------------------------------
 
-_PROGRAM_CACHE: dict = {}
+#: compiled programs are kept for this many of the most recently used
+#: (sentence, signature, free order) keys; a program holds a few hundred
+#: bytes per node
+PROGRAM_CACHE_SIZE = 32
 
 
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def compile_sentence(sentence: Sentence, signature: Signature,
                      free_order: tuple[str, ...] = ()) -> Program:
-    key = (id(sentence), signature, free_order)
-    prog = _PROGRAM_CACHE.get(key)
-    if prog is not None:
-        return prog
+    """Compile a formula to a kernel ``Program`` whose slots
+    ``0..len(free_order)-1`` hold the free variables in that order.  The
+    ``PROGRAM_CACHE_SIZE`` most recently used programs are cached."""
     missing = sentence.free - set(free_order)
     if missing:
         raise MalformedSentenceError(
@@ -510,9 +512,8 @@ def compile_sentence(sentence: Sentence, signature: Signature,
         return idx
 
     base = {v: i for i, v in enumerate(free_order)}
-    prog.root = rec(sentence, base, len(free_order))
+    prog.run = prog.nodes[rec(sentence, base, len(free_order))]
     prog.nslots = max_slot + 1
-    _PROGRAM_CACHE[key] = prog
     return prog
 
 
@@ -523,6 +524,9 @@ def eval(M: Structure, sentence: Sentence,
     Free variables must all be assigned values in range.  Empty conjunction
     is true, empty disjunction false.
     """
+    if not sentence.free:
+        return _kernel.active.eval_program(
+            compile_sentence(sentence, M.signature, ()), M.size, M.masks, ())
     assignment = assignment or {}
     free_order = tuple(sorted(sentence.free))
     for v in free_order:

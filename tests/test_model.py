@@ -35,6 +35,25 @@ class TestAst:
         f = Exists("x", And([Atom("R", ("x", "y")), Eq("x", "z")]))
         assert f.free == {"y", "z"}
 
+    def test_equal_free_sets_are_one_object(self):
+        nodes = [Atom("R", ("u", "w")), Eq("w", "u"),
+                 Exists("v", And([Atom("R", ("u", "v")), Eq("v", "w")])),
+                 Forall("v", Or([Atom("R", ("v", "w")), Not(Eq("u", "u"))])),
+                 And([Atom("P", ("u",)), Atom("P", ("w",))])]
+        assert all(n.free == {"u", "w"} for n in nodes)
+        assert all(n.free is nodes[0].free for n in nodes)
+        assert Exists("u", Atom("P", ("u",))).free is And(()).free
+
+    def test_same_shape_built_twice_is_one_node(self):
+        def build():
+            p, r = Atom("P", ("x",)), Atom("R", ("x", "y"))
+            return (Not(p), And([p, r]), Or([p, r]), Exists("y", r),
+                    Forall("y", r), And([r, p]), Exists("x", r))
+        first, second = build(), build()
+        assert all(a is b for a, b in zip(first, second))
+        # distinct shapes over the same children stay distinct
+        assert len({id(n) for n in first}) == len(first)
+
     def test_round_trip(self):
         texts = [
             "(and (atom P x) (or (eq x y) (not (atom R x y))))",
@@ -318,23 +337,69 @@ class TestSpaceQueries:
 class TestConcurrency:
     def test_shared_space_queries_are_reentrant(self, ub_space):
         # values are immutable and caches idempotent: hammer one space from
-        # several threads and compare against the single-threaded answers
+        # several threads and compare against the single-threaded answers.
+        # There are more sentences than the program cache holds, so threads
+        # share compiled programs and also evict and recompile them.
         import random
+        import sys
         from concurrent.futures import ThreadPoolExecutor
         from indepax import generators
         rng = random.Random(13)
-        sentences = [generators.random_formula(rng, 3) for _ in range(24)]
+        sentences = [generators.random_formula(rng, 3)
+                     for _ in range(2 * model.PROGRAM_CACHE_SIZE)]
         expected = {id(s): model.ModelSpace(
             ub_space.signature, ub_space.max_size,
             ub_space.representatives).satset(s) for s in sentences}
+        shared = model.ModelSpace(ub_space.signature, ub_space.max_size,
+                                  ub_space.representatives)
 
-        def query(s):
-            return ub_space.satset(s)
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(query, sentences * 4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(shared.satset, sentences * 4,
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         for s, got in zip(sentences * 4, results):
             assert got == expected[id(s)]
+
+
+class TestProgramCache:
+    def test_cache_is_bounded_and_evicted_programs_recompile(self, ub_space):
+        import os
+        import random
+        import tracemalloc
+        from indepax import _kernel, generators
+        cap = model.PROGRAM_CACHE_SIZE
+        rng = random.Random(29)
+        sentences = list({id(s): s for s in (generators.random_formula(rng, 4)
+                                             for _ in range(8 * cap))}.values())
+        assert len(sentences) > 4 * cap
+        reps = ub_space.representatives[::40]
+        compiled = model.compile_sentence
+        compiled.cache_clear()
+        kernel_files = tracemalloc.Filter(
+            True, os.path.join(os.path.dirname(_kernel.__file__), "*"))
+        tracemalloc.start()
+        try:
+            first = [[model.eval(M, s) for M in reps] for s in sentences]
+            held = sum(stat.size for stat in tracemalloc.take_snapshot()
+                       .filter_traces([kernel_files]).statistics("filename"))
+        finally:
+            tracemalloc.stop()
+        info = compiled.cache_info()
+        assert info.currsize == cap
+        # the last sentences' programs are the cached ones (no new miss);
+        # the kernel keeps under 500 bytes per node of them, and an
+        # unbounded cache would keep every program
+        cached_nodes = sum(len(compiled(s, ub_space.signature, ()).ops)
+                           for s in sentences[-cap:])
+        assert compiled.cache_info().misses == info.misses
+        assert held < 1000 * cached_nodes
+        # the first sentence was evicted: it compiles again, same answers
+        assert [model.eval(M, sentences[0]) for M in reps] == first[0]
+        assert compiled.cache_info().misses == info.misses + 1
 
 
 class TestJson:

@@ -3,6 +3,8 @@ through the text format and evaluate the same way per structure, as
 satisfaction bitsets, and under a Tarskian reference evaluator over the
 AST that shares no code with the compiler or the kernel."""
 
+from functools import lru_cache
+
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from indepax import model
@@ -11,36 +13,37 @@ from indepax.model import (MAX_PARSE_DEPTH, And, Atom, Eq, Exists, Forall,
 
 VARS = ("x", "y", "z")
 
-# one nesting level: operator, variable for exists, sibling leaf for and/or
-_level = st.tuples(st.sampled_from(("not", "and", "or", "exists")),
-                   st.integers(0, len(VARS) - 1),
-                   st.tuples(st.sampled_from(("P", "R", "eq")),
-                             st.integers(0, 2), st.integers(0, 2)))
+# a leaf: the signature's unary relation, its other relation, or eq, with
+# one pick of a bound variable per argument
+_leaf = st.tuples(st.sampled_from(("unary", "other", "eq")),
+                  st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+# one nesting level: operator, variable for a quantifier, sibling leaf for
+# and/or
+_level = st.tuples(st.sampled_from(("not", "and", "or", "exists", "forall")),
+                   st.integers(0, len(VARS) - 1), _leaf)
 # the outer exists and the innermost leaf take two of the levels
 _spine = st.integers(0, MAX_PARSE_DEPTH - 2).flatmap(
     lambda n: st.lists(_level, min_size=n, max_size=n))
-_leaf = st.tuples(st.sampled_from(("P", "R", "eq")),
-                  st.integers(0, 2), st.integers(0, 2))
 
 
-def _leaf_text(leaf, bound: list[str]) -> str:
-    kind, a, b = leaf
-    u, v = bound[a % len(bound)], bound[b % len(bound)]
-    if kind == "P":
-        return f"(atom P {u})"
-    if kind == "R":
-        return f"(atom R {u} {v})"
-    return f"(eq {u} {v})"
+def _leaf_text(leaf, bound: list[str], sig: model.Signature) -> str:
+    kind, *picks = leaf
+    names = [bound[p % len(bound)] for p in picks]
+    if kind == "eq":
+        return f"(eq {names[0]} {names[1]})"
+    rel, arity = sig.relations[kind == "other"]
+    return f"(atom {rel} {' '.join(names[:arity])})"
 
 
-def nesting_text(spine, leaf) -> str:
+def nesting_text(spine, leaf, sig: model.Signature) -> str:
     """A closed sentence: ``(exists x …)`` around the spine's levels, outer
-    first, around a leaf; every variable a leaf names is bound above it."""
+    first, around a leaf; every variable a leaf names is bound above it.
+    ``sig`` lists a unary relation, then one other relation."""
     bound = ["x"]
     head, tail = ["(exists x "], [")"]
     for op, var, sibling in spine:
-        if op == "exists":
-            head.append(f"(exists {VARS[var]} ")
+        if op in ("exists", "forall"):
+            head.append(f"({op} {VARS[var]} ")
             tail.append(")")
             if VARS[var] not in bound:
                 bound.append(VARS[var])
@@ -49,8 +52,24 @@ def nesting_text(spine, leaf) -> str:
             tail.append(")")
         else:
             head.append(f"({op} ")
-            tail.append(f" {_leaf_text(sibling, bound)})")
-    return "".join(head) + _leaf_text(leaf, bound) + "".join(reversed(tail))
+            tail.append(f" {_leaf_text(sibling, bound, sig)})")
+    return "".join(head) + _leaf_text(leaf, bound, sig) + "".join(reversed(tail))
+
+
+#: per case, a signature (a unary relation, then one other) and the stride
+#: of its classes of size at most 2 that the test evaluates over.  The fuzz
+#: signature's atoms have arity 1 or 2; the second case adds arity 3.
+CASES = {"P/1 + R/2": ((("P", 1), ("R", 2)), 1),
+         "Q/1 + T/3": ((("Q", 1), ("T", 3)), 8)}
+
+
+@lru_cache(maxsize=None)
+def structures(case: str):
+    """The case's signature and its stride of classes (Q/1 + T/3 has 532
+    classes of size at most 2, so every 8th is kept)."""
+    relations, stride = CASES[case]
+    space = model.enumerate_models(model.Signature(relations), 2)
+    return space.signature, space.representatives[::stride]
 
 
 def reference_holds(M: model.Structure, sentence: model.Sentence) -> bool:
@@ -89,21 +108,28 @@ def reference_holds(M: model.Structure, sentence: model.Sentence) -> bool:
     return holds(sentence, {})
 
 
-@settings(max_examples=40, deadline=None,
+# not, then a quantifier (exists and forall in turn), repeated
+_QUANTIFIER_CHAIN = [(("exists", "forall")[i // 2 % 2], i % 3, ("unary", 0, 0, 0))
+                     if i % 2 else ("not", 0, ("unary", 0, 0, 0))
+                     for i in range(MAX_PARSE_DEPTH - 2)]
+
+
+@settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(spine=_spine, leaf=_leaf)
+@given(case=st.sampled_from(sorted(CASES)), spine=_spine, leaf=_leaf)
 # the deepest chains, which the random draws rarely reach
-@example(spine=[("and", 0, ("R", 0, 0))] * (MAX_PARSE_DEPTH - 2),
-         leaf=("P", 0, 0))
-@example(spine=[("exists", i % 3, ("P", 0, 0)) if i % 2 else
-                ("not", 0, ("P", 0, 0)) for i in range(MAX_PARSE_DEPTH - 2)],
-         leaf=("R", 1, 2))
-def test_deep_nesting_round_trips_and_evaluates(ub_sig, spine, leaf):
-    s = parse_sentence(nesting_text(spine, leaf))
+@example(case="P/1 + R/2",
+         spine=[("and", 0, ("other", 0, 0, 0))] * (MAX_PARSE_DEPTH - 2),
+         leaf=("unary", 0, 0, 0))
+@example(case="P/1 + R/2", spine=_QUANTIFIER_CHAIN, leaf=("other", 1, 2, 0))
+@example(case="Q/1 + T/3", spine=_QUANTIFIER_CHAIN, leaf=("other", 1, 2, 0))
+def test_deep_nesting_round_trips_and_evaluates(case, spine, leaf):
+    sig, reps = structures(case)
+    s = parse_sentence(nesting_text(spine, leaf, sig))
     assert not s.free
     assert parse_sentence(to_sexpr(s)) is s
-    space = model.enumerate_models(ub_sig, 2)
+    space = model.ModelSpace(sig, 2, reps)
     mask = space.satset(s)
     assert 0 <= mask <= space.full_mask
     for i, rep in enumerate(space.representatives):
