@@ -13,7 +13,8 @@ at once.
 ``active.refine_levels(first, width, init_labels)`` takes each item's
 one-element extensions as one contiguous block: the ``width[i]`` items from
 index ``first[i]`` on (width 0 at the tuple-length cap).  It returns
-``(levels, stable)``.
+``(levels, stable)``: one ``array('i')`` of labels per level, and the first
+level whose refinement is itself.
 """
 
 from . import pure

@@ -6,6 +6,7 @@ generation"): the opcode dispatch is paid when the program is built, not
 per node per structure.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
@@ -208,22 +209,27 @@ def refine_levels(first: list[int], width: list[int], init_labels: list[int]):
 
     The one-element extensions of item i are the ``width[i]`` consecutive
     items from index ``first[i]`` on (width 0 for items at the tuple-length
-    cap).  An item's signature is its label with the set of its extensions'
-    labels.  Labels are dense, assigned in first-occurrence order, so the
-    result is deterministic.  Returns (levels, stable) with levels[k] the
-    labels at level k and ``stable`` the first level whose refinement is
+    cap).  An item's signature is its label followed by the sorted distinct
+    labels of its extensions, one flat tuple.  Labels are dense, assigned in
+    first-occurrence order, so the result is deterministic.  Returns
+    (levels, stable) with levels[k] the labels at level k as an
+    ``array('i')`` and ``stable`` the first level whose refinement is
     itself.
     """
-    levels = [list(init_labels)]
-    nclasses = len(set(init_labels))
+    # the level being refined stays a list: an array boxes an int per read
+    cur = list(init_labels)
+    levels = []
+    nclasses = len(set(cur))
     while True:
-        cur = levels[-1]
+        levels.append(array("i", cur))
         sig2new: dict[tuple, int] = {}
-        new = [sig2new.setdefault((lab, frozenset(cur[f:f + w])), len(sig2new))
+        # most items sit at the length cap, with no extensions to sort
+        new = [sig2new.setdefault((lab, *sorted(set(cur[f:f + w])))
+                                  if w else (lab,), len(sig2new))
                for lab, f, w in zip(cur, first, width)]
         # refinement only ever splits classes, so an unchanged count means
         # an identical partition
         if len(sig2new) == nclasses:
             return levels, len(levels) - 1
         nclasses = len(sig2new)
-        levels.append(new)
+        cur = new

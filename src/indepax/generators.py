@@ -135,12 +135,12 @@ def random_type_instance(rng: random.Random, space: ModelSpace,
     # class -> (first realizing (rep, element), realizing rep set)
     realizers: dict[int, tuple[int, int]] = {}
     rep_sets: dict[int, int] = {}
-    for idx, (si, tup) in enumerate(part.items):
-        if len(tup) != 1:
-            continue
-        lab = part.levels[level][idx]
-        realizers.setdefault(lab, (si, tup[0]))
-        rep_sets[lab] = rep_sets.get(lab, 0) | (1 << si)
+    labels = part.levels[level]
+    for si in range(len(part.structures)):
+        start, end = part.block(si, 1)
+        for e, lab in enumerate(labels[start:end]):
+            realizers.setdefault(lab, (si, e))
+            rep_sets[lab] = rep_sets.get(lab, 0) | (1 << si)
     labels = sorted(realizers)
     for _ in range(max_attempts):
         rng.shuffle(labels)

@@ -351,6 +351,16 @@ def _build(lst) -> Sentence:
 # Signature and structures
 # ---------------------------------------------------------------------------
 
+# Signature and Structure hash their fields once, as a frozen dataclass
+# would on every call: cache keys hash them on every evaluation and every
+# type comparison.
+
+def _state_without_hash(self) -> dict:
+    """Pickled state without the cached hash, which holds only in the
+    process that computed it (str hashes are salted per process)."""
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Signature:
     """Finite relational signature: (name, arity) pairs, names unique."""
@@ -366,6 +376,15 @@ class Signature:
                 raise SignatureMismatchError(f"invalid relation name {n!r}")
             if a < 1:
                 raise SignatureMismatchError(f"arity of {n} must be >= 1")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.relations,))
+
+    __getstate__ = _state_without_hash
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -405,6 +424,15 @@ class Structure:
                 rows.add(row)
             packed.append(frozenset(rows))
         return Structure(signature, size, tuple(packed))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.signature, self.size, self.tables))
+
+    __getstate__ = _state_without_hash
 
     def table(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.tables[self.signature.index[name]]

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _kernel
 from .errors import (EnumerationOverflowError, MaterializationRefusedError,
@@ -24,9 +27,10 @@ from .model import (And, Atom, Eq, ModelSpace, Not, Or, Sentence,
                     Signature, Structure, exists_block, forall_block)
 
 
-# Items are (structure, tuple) pairs.  Refinement holds about 375 bytes per
-# item (R/2 at max-size 4: 1,050,908 items, 396 MB peak RSS), so the cap
-# keeps a partition under about 750 MB.
+# Items are (structure, tuple) pairs, kept only as one array('i') of labels
+# per level (about 21 bytes per item).  Refinement peaks at about 120 bytes
+# of heap per item (R/2 at max-size 4: 1,050,908 items, 153 MB peak RSS),
+# so the cap keeps a partition under about 300 MB.
 MAX_PARTITION_ITEMS = 2_000_000
 
 
@@ -44,20 +48,39 @@ class TypeId:
 
 @dataclass(eq=False)
 class TypePartition:
-    """Per-level classes of (structure index, tuple) pairs from one joint
-    refinement run.  levels[k] refines levels[k-1]; every level at or beyond
-    ``stabilization_level`` equals the stabilized partition.
+    """Per-level classes of (structure index, tuple) items from one joint
+    refinement run.  ``levels[k]`` holds the class of every item at level
+    k as an ``array('i')`` and refines ``levels[k-1]``; every level at or
+    beyond ``stabilization_level`` equals the stabilized partition.
 
     Items are laid out per structure, by length 0..n_max, each length block
-    in ``itertools.product`` order; ``offsets[si][length]`` is where that
-    block of structure si starts."""
+    in ``itertools.product`` order; ``block(si, length)`` gives where that
+    block of structure si starts and ends.  No item is stored: ``items``
+    is a read-only view that derives them from this layout."""
 
     structures: tuple[Structure, ...]
     n_max: int
-    items: tuple[tuple[int, tuple[int, ...]], ...]
     offsets: tuple[tuple[int, ...], ...]
-    levels: tuple[tuple[int, ...], ...]
+    levels: tuple[array, ...]
     stabilization_level: int
+
+    @property
+    def items(self) -> "PartitionItems":
+        return PartitionItems(self)
+
+    def block(self, struct_idx: int, length: int) -> tuple[int, int]:
+        """Start and end of the item indices of the length-``length``
+        tuples of structure ``struct_idx``."""
+        start = self.offsets[struct_idx][length]
+        return start, start + self.structures[struct_idx].size ** length
+
+    def _item_index(self, struct_idx: int, tup: tuple[int, ...]) -> int:
+        """Index of a tracked tuple of structure ``struct_idx``; unchecked."""
+        size = self.structures[struct_idx].size
+        rank = 0
+        for v in tup:
+            rank = rank * size + v
+        return self.block(struct_idx, len(tup))[0] + rank
 
     def class_at(self, level: int, struct_idx: int, tup: Sequence[int]) -> int:
         tup = tuple(tup)
@@ -67,15 +90,47 @@ class TypePartition:
                         for v in tup)):
             raise PreconditionError(
                 f"tuple {tup} not tracked (length cap {self.n_max})")
-        size = self.structures[struct_idx].size
-        rank = 0
-        for v in tup:
-            rank = rank * size + v
-        idx = self.offsets[struct_idx][len(tup)] + rank
-        return self.levels[min(level, self.stabilization_level)][idx]
+        labels = self.levels[min(level, self.stabilization_level)]
+        return labels[self._item_index(struct_idx, tup)]
 
     def classes_at(self, level: int) -> int:
         return max(self.levels[min(level, self.stabilization_level)]) + 1
+
+
+class PartitionItems(Sequence):
+    """The (structure index, tuple) items of a ``TypePartition`` in layout
+    order, derived on demand from its structures and offsets."""
+
+    __slots__ = ("_part",)
+
+    def __init__(self, part: TypePartition):
+        self._part = part
+
+    def __len__(self) -> int:
+        return len(self._part.levels[0])
+
+    def __iter__(self):
+        part = self._part
+        for si, M in enumerate(part.structures):
+            for length in range(part.n_max + 1):
+                yield from zip(itertools.repeat(si),
+                               itertools.product(range(M.size), repeat=length))
+
+    def __getitem__(self, idx: int) -> tuple[int, tuple[int, ...]]:
+        if idx < 0:
+            idx += len(self)
+        if not 0 <= idx < len(self):
+            raise IndexError("partition item index out of range")
+        part = self._part
+        si = bisect_right(part.offsets, idx, key=itemgetter(0)) - 1
+        length = bisect_right(part.offsets[si], idx) - 1
+        rank = idx - part.offsets[si][length]
+        size = part.structures[si].size
+        tup = []
+        for _ in range(length):
+            rank, v = divmod(rank, size)
+            tup.append(v)
+        return si, tuple(reversed(tup))
 
 
 @lru_cache(maxsize=64)
@@ -155,7 +210,6 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
             f"joint type partition of {count} items exceeds cap "
             f"{MAX_PARTITION_ITEMS}")
 
-    items: list[tuple[int, tuple[int, ...]]] = []
     offsets = []
     init: list[int] = []
     first: list[int] = []
@@ -165,11 +219,9 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         n = M.size
         starts = []
         for length in range(n_max + 1):
-            start = len(items)
+            start = len(init)
             starts.append(start)
             block = n ** length
-            items.extend(zip(itertools.repeat(si),
-                             itertools.product(range(n), repeat=length)))
             init.extend(code_label.setdefault(code, len(code_label))
                         for code in _atomic_codes(M, length))
             # the extensions tup + (c,) of the item of rank r are the n
@@ -185,18 +237,13 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         offsets.append(tuple(starts))
 
     levels, stable = _kernel.active.refine_levels(first, width, init)
-    return TypePartition(structures, n_max, tuple(items), tuple(offsets),
-                         tuple(tuple(lv) for lv in levels), stable)
+    return TypePartition(structures, n_max, tuple(offsets), tuple(levels),
+                         stable)
 
 
 @lru_cache(maxsize=512)
 def _pair_partition(M: Structure, N: Structure) -> TypePartition:
     return joint_type_partition((M, N))
-
-
-@lru_cache(maxsize=2048)
-def _self_partition(M: Structure) -> TypePartition:
-    return joint_type_partition((M,))
 
 
 def types_equal(M: Structure, a: Sequence[int], N: Structure,
@@ -207,22 +254,25 @@ def types_equal(M: Structure, a: Sequence[int], N: Structure,
     if len(a) != len(b):
         raise PreconditionError(f"tuple lengths differ: {len(a)} vs {len(b)}")
     for tup, S in ((a, M), (b, N)):
-        if any(not (0 <= v < S.size) for v in tup):
+        if tup and (min(tup) < 0 or max(tup) >= S.size):
             raise PreconditionError(f"tuple {tup} out of range")
     part = _pair_partition(M, N)
+    labels = part.levels[min(alpha, part.stabilization_level)]
     if len(a) > part.n_max:
         # tuples past the length cap never split beyond their atomic type:
         # the equality pattern plus the atomic type of the tuple of distinct
         # values, which is within the cap and classed at level 0
-        return (tuple(map(a.index, a)) == tuple(map(b.index, b))
-                and part.class_at(0, 0, tuple(dict.fromkeys(a)))
-                == part.class_at(0, 1, tuple(dict.fromkeys(b))))
-    return part.class_at(alpha, 0, a) == part.class_at(alpha, 1, b)
+        if tuple(map(a.index, a)) != tuple(map(b.index, b)):
+            return False
+        a, b = tuple(dict.fromkeys(a)), tuple(dict.fromkeys(b))
+        labels = part.levels[0]
+    return labels[part._item_index(0, a)] == labels[part._item_index(1, b)]
 
 
+@lru_cache(maxsize=2048)
 def scott_height(M: Structure) -> int:
     """Least level at which the self-partition of M's tuples stabilizes."""
-    return _self_partition(M).stabilization_level
+    return joint_type_partition((M,)).stabilization_level
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +454,17 @@ def alpha_types_of(sentence: Sentence, alpha: int,
         raise PreconditionError("alpha must be >= 0")
     part = space_partition(space)
     sat = space.satset(sentence)
-    level = min(alpha, part.stabilization_level)
-    labels = part.levels[level]
-    psi: set[TypeId] = set()
-    phi: set[TypeId] = set()
-    for idx, (si, tup) in enumerate(part.items):
+    labels = part.levels[min(alpha, part.stabilization_level)]
+    psi: set[int] = set()
+    phi: set[int] = set()
+    for si in range(len(part.structures)):
         if (sat >> si) & 1:
-            tid = TypeId(alpha, labels[idx])
-            psi.add(tid)
-            if not tup:
-                phi.add(tid)
-    return psi, phi
+            # the empty tuple's block comes first, the cap length's last
+            start = part.block(si, 0)[0]
+            psi.update(labels[start:part.block(si, part.n_max)[1]])
+            phi.add(labels[start])
+    return ({TypeId(alpha, lab) for lab in psi},
+            {TypeId(alpha, lab) for lab in phi})
 
 
 def space_scott_sentence(space: ModelSpace, rep_index: int) -> Sentence:

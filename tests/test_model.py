@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -80,6 +81,25 @@ class TestAst:
             parse_sentence(bad)
         if pos_known:
             assert exc.value.position is not None
+
+
+class TestHashes:
+    def test_equal_values_hash_equal(self, cycle3):
+        sig = cycle3.signature
+        twin = Structure.make(Signature((("R", 2),)), 3,
+                              {"R": [(2, 0), (0, 1), (1, 2)]})
+        assert twin is not cycle3 and twin == cycle3
+        assert hash(twin) == hash(cycle3)
+        assert hash(twin.signature) == hash(sig)
+        assert hash(cycle3) == hash((sig, 3, cycle3.tables))
+
+    def test_pickled_copy_rehashes(self, cycle3):
+        # a cached hash is only valid in the process that computed it
+        hash(cycle3), hash(cycle3.signature)
+        copy = pickle.loads(pickle.dumps(cycle3))
+        assert "_hash" not in vars(copy)
+        assert "_hash" not in vars(copy.signature)
+        assert copy == cycle3 and hash(copy) == hash(cycle3)
 
 
 class TestEval:

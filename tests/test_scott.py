@@ -1,10 +1,12 @@
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from indepax import model, scott, verify
+from indepax import generators, model, scott, verify
 from indepax.errors import (EnumerationOverflowError,
                             MaterializationRefusedError, PreconditionError,
                             SignatureMismatchError)
@@ -51,7 +53,7 @@ class TestJointPartition:
 
     def test_item_cap_refuses_before_allocating(self, sig):
         # 1 + 4 + 16 + 64 + 256 = 341 items per size-4 structure; 5,866
-        # copies are 2,000,306 items, which would take about 750 MB
+        # copies are 2,000,306 items, which would take about 300 MB
         M = cycle(sig, 4)
         with pytest.raises(EnumerationOverflowError,
                            match="2000306 items exceeds cap 2000000"):
@@ -63,6 +65,37 @@ class TestJointPartition:
         assert len(scott.joint_type_partition([M, M]).items) == 2 * 341
         with pytest.raises(EnumerationOverflowError):
             scott.joint_type_partition([M] * 3)
+
+    def test_levels_of_fuzz_space_are_pinned(self, ub_space):
+        # the labels of every level of the 792-class P/1 + R/2 partition,
+        # as computed with frozenset signature keys; a change to the keys'
+        # meaning or to the label order changes it
+        part = scott.joint_type_partition(ub_space.representatives)
+        digest = hashlib.sha256(
+            repr([list(lv) for lv in part.levels]).encode()).hexdigest()
+        assert digest == (
+            "f57871b882df739ab384c5e729b4599f1d7bd39a5739da509d8d53c600b1e788")
+
+    def test_heap_per_item_is_bounded(self, ub_space):
+        # levels are flat int arrays and no item is stored: about 22 B per
+        # item retained and 176 B at the peak of refinement.  gc.collect()
+        # at both ends drops the free lists, which tracemalloc counts as
+        # allocated.
+        reps = ub_space.representatives
+        scott.joint_type_partition(reps)  # warm the per-size caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            part = scott.joint_type_partition(reps)
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(part.items)
+        assert n == 30636
+        assert (current - base) / n <= 48
+        assert (peak - base) / n <= 250
 
     def test_refinement_and_stabilization_properties(self, sig):
         rng = random.Random(0)
@@ -159,11 +192,37 @@ class TestJointPartitionReference:
             structs = [random_structure(rng, sig, n) for n in sizes]
             items, levels, stable = reference_partition(structs)
             part = scott.joint_type_partition(structs)
-            assert part.items == tuple(items)
+            assert tuple(part.items) == tuple(items)
+            assert len(part.items) == len(items)
+            assert [part.items[i] for i in range(-len(items), 0)] == items
             assert part.stabilization_level == stable
             assert [list(lv) for lv in part.levels] == levels
             for idx, (si, tup) in enumerate(items):
                 assert part.class_at(stable, si, tup) == levels[stable][idx]
+
+    def test_alpha_types_match_per_item_reference(self):
+        # psi/phi read from per-structure label slices against the same
+        # sets collected item by item from the reference refinement
+        sig = SIGNATURES["unary+binary"]
+        rng = random.Random("alpha-types")
+        spaces = [model.enumerate_models(sig, 2)]
+        for sizes in ((1, 3, 2, 3), (3, 1, 2)):
+            structs = tuple(random_structure(rng, sig, n) for n in sizes)
+            spaces.append(model.ModelSpace(sig, 3, structs))
+        for space in spaces:
+            items, levels, stable = reference_partition(space.representatives)
+            for _ in range(6):
+                s = generators.random_formula(rng, 3)
+                sat = space.satset(s)
+                for alpha in range(stable + 2):
+                    labels = levels[min(alpha, stable)]
+                    psi = {scott.TypeId(alpha, labels[idx])
+                           for idx, (si, _tup) in enumerate(items)
+                           if (sat >> si) & 1}
+                    phi = {scott.TypeId(alpha, labels[idx])
+                           for idx, (si, tup) in enumerate(items)
+                           if (sat >> si) & 1 and not tup}
+                    assert scott.alpha_types_of(s, alpha, space) == (psi, phi)
 
     def test_class_at_rejects_untracked_tuples(self, sig):
         part = scott.joint_type_partition([cycle(sig, 2), cycle(sig, 3)])
