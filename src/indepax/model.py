@@ -169,8 +169,6 @@ class Forall(Sentence):
 CONTRADICTION = Exists("x", Not(Eq("x", "x")))
 #: valid over every nonempty domain
 TAUTOLOGY = Exists("x", Eq("x", "x"))
-TRUE = And(())
-FALSE = Or(())
 
 
 def exists_block(vars_: Sequence[str], child: Sentence) -> Sentence:
@@ -396,65 +394,64 @@ class Signature:
 
 @dataclass(frozen=True)
 class Structure:
-    """Finite structure with universe 0..size-1.  ``tables`` aligns with
-    ``signature.relations``."""
+    """Finite structure with universe 0..size-1: per relation of
+    ``signature``, a mask whose bit i says whether the tuple of fold-left
+    index i (``a_0 * size**(k-1) + ... + a_{k-1}``) holds."""
 
     signature: Signature
     size: int
-    tables: tuple[frozenset[tuple[int, ...]], ...]
+    masks: tuple[int, ...]
 
     @staticmethod
     def make(signature: Signature, size: int,
              tables: Mapping[str, Iterable[Sequence[int]]]) -> "Structure":
         if size < 1:
             raise ParseError("structure size must be >= 1")
-        known = {n for n, _ in signature.relations}
-        extra = set(tables) - known
+        extra = set(tables) - set(signature.index)
         if extra:
             raise ParseError(f"unknown relations in tables: {sorted(extra)}")
-        packed = []
+        masks = []
         for name, arity in signature.relations:
-            rows = set()
+            bits = []
             for row in tables.get(name, ()):  # missing relation = empty table
                 row = tuple(row)
                 if len(row) != arity:
                     raise ParseError(f"tuple {row} has wrong arity for {name}")
                 if any(not (0 <= v < size) for v in row):
                     raise ParseError(f"tuple {row} out of range for size {size}")
-                rows.add(row)
-            packed.append(frozenset(rows))
-        return Structure(signature, size, tuple(packed))
+                idx = 0
+                for v in row:
+                    idx = idx * size + v
+                bits.append(idx)
+            # OR-ing each 1 << idx into an int would copy it once per row
+            buf = bytearray(max(bits, default=-1) // 8 + 1)
+            for idx in bits:
+                buf[idx >> 3] |= 1 << (idx & 7)
+            masks.append(int.from_bytes(buf, "little"))
+        return Structure(signature, size, tuple(masks))
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.signature, self.size, self.tables))
+        return hash((self.signature, self.size, self.masks))
 
     __getstate__ = _state_without_hash
+
+    @cached_property
+    def tables(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """Per-relation sets of the tuples that hold, derived from ``masks``."""
+        return tuple(_mask_table(mask, self.size, arity) for mask, (_name, arity)
+                     in zip(self.masks, self.signature.relations))
 
     def table(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.tables[self.signature.index[name]]
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Per-relation bit masks (fold-left positional index)."""
-        out = []
-        for tab in self.tables:
-            m = 0
-            for tup in tab:
-                idx = 0
-                for a in tup:
-                    idx = idx * self.size + a
-                m |= 1 << idx
-            out.append(m)
-        return tuple(out)
-
     def apply_permutation(self, perm: Sequence[int]) -> "Structure":
-        tabs = tuple(frozenset(tuple(perm[v] for v in tup) for tup in tab)
-                     for tab in self.tables)
-        return Structure(self.signature, self.size, tabs)
+        return Structure.make(self.signature, self.size, {
+            name: [[perm[v] for v in tup] for tup in self.table(name)]
+            for name, _arity in self.signature.relations})
 
 
 @lru_cache(maxsize=64)
@@ -813,12 +810,7 @@ def enumerate_models(signature: Signature, max_size: int,
             if class_cap is not None and len(reps) >= class_cap:
                 raise EnumerationOverflowError(
                     f"more than {class_cap} isomorphism classes")
-            tabs = tuple(_mask_table(mask, n, arity)
-                         for mask, (_name, arity)
-                         in zip(key, signature.relations))
-            rep = Structure(signature, n, tabs)
-            rep.__dict__["masks"] = key  # seed the cached_property
-            reps.append(rep)
+            reps.append(Structure(signature, n, key))
     return ModelSpace(signature, max_size, tuple(reps))
 
 
@@ -868,7 +860,7 @@ def structure_from_json(data: dict) -> Structure:
         size = int(data["size"])
         tables = {name: [tuple(int(v) for v in row) for row in rows]
                   for name, rows in data.get("relations", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad structure JSON: {exc}") from None
     return Structure.make(sig, size, tables)
 

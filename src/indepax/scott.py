@@ -203,8 +203,14 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         if s.signature != sig:
             raise SignatureMismatchError("structures over different signatures")
     n_max = max(s.size for s in structures)
-    count = sum(M.size ** length for M in structures
-                for length in range(n_max + 1))
+    count = 0
+    for M, length in itertools.product(structures, range(n_max + 1)):
+        if M.size ** length > MAX_PARTITION_ITEMS:
+            # stop: the whole count can be too large to sum or to print
+            raise EnumerationOverflowError(
+                f"joint type partition exceeds cap {MAX_PARTITION_ITEMS} "
+                f"items: size {M.size} has more tuples of length {length}")
+        count += M.size ** length
     if count > MAX_PARTITION_ITEMS:
         raise EnumerationOverflowError(
             f"joint type partition of {count} items exceeds cap "

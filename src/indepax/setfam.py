@@ -229,9 +229,10 @@ def family_from_json(data: dict) -> SetFamily:
     try:
         universe = int(data["universe"])
         sets = data["sets"]
-        labels = data.get("labels")
+        if not isinstance(sets, list) or not all(isinstance(s, list)
+                                                 for s in sets):
+            raise ParseError("family sets must be a list of element lists")
+        # raises TypeError or ValueError on bad elements or labels
+        return SetFamily.from_lists(universe, sets, data.get("labels"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family JSON: {exc}") from None
-    if not isinstance(sets, list):
-        raise ParseError("family sets must be a list of element lists")
-    return SetFamily.from_lists(universe, sets, labels)

@@ -245,6 +245,34 @@ class TestErrorPaths:
                                    "items exceeds cap 2000000")
         assert "Traceback" not in r.stderr
 
+    def test_partition_of_large_structure_exits_1(self, tmp_path):
+        # its item count has more digits than int formatting allows; the
+        # cap stops at the first block over it, the 2000**2 pairs
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({
+            "signature": [{"name": "R", "arity": 2}], "size": 2000,
+            "relations": {"R": [[i, (i + 1) % 2000] for i in range(2000)]}}))
+        r = run_cli("scott", str(path))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: joint type partition exceeds cap")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command,data", [
+        (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2,
+                      "relations": [[0, 1]]}),
+        (("setfam", "--check"), {"universe": 4, "sets": [1, 2]}),
+        (("setfam", "--check"), {"universe": 4, "sets": [[1], [2]],
+                                 "labels": 7}),
+        (("setfam", "--check"), {"universe": 4, "sets": [["a"], [2]]}),
+    ])
+    def test_malformed_json_exits_2(self, tmp_path, command, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        r = run_cli(*command, str(path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+
 
 class TestDeepNesting:
     """Chains as deep as the parser admits are answered or exit 2."""

@@ -4,6 +4,7 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indepax import model
 from indepax.errors import (EnumerationOverflowError, MalformedSentenceError,
@@ -91,7 +92,7 @@ class TestHashes:
         assert twin is not cycle3 and twin == cycle3
         assert hash(twin) == hash(cycle3)
         assert hash(twin.signature) == hash(sig)
-        assert hash(cycle3) == hash((sig, 3, cycle3.tables))
+        assert hash(cycle3) == hash((sig, 3, cycle3.masks))
 
     def test_pickled_copy_rehashes(self, cycle3):
         # a cached hash is only valid in the process that computed it
@@ -226,9 +227,25 @@ class TestEnumeration:
                                  for p in itertools.permutations(range(n)))))
         reps = enumerate_models(sig, max_size).representatives
         assert [(M.size, M.masks) for M in reps] == sorted(want)
-        # the masks a representative carries are those of its tables
-        assert all(Structure(sig, M.size, M.tables).masks == M.masks
-                   for M in reps)
+        # a representative's tables are those its masks encode
+        names = [name for name, _arity in relations]
+        assert all(Structure.make(sig, M.size, dict(zip(names, M.tables)))
+                   .masks == M.masks for M in reps)
+
+    def test_representatives_keep_only_their_masks(self):
+        import tracemalloc
+        sig = Signature((("P", 1), ("R", 2)))
+        enumerate_models(sig, 3)  # fill the per-size caches first
+        tracemalloc.start()
+        try:
+            space = enumerate_models(sig, 3)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a Structure and its masks tuple take about 120 bytes per class; a
+        # frozenset of tuples per relation took about 900 more
+        assert len(space.representatives) == 792
+        assert held <= 400 * 792
 
     def test_representatives_have_least_masks(self, binary_space):
         import itertools
@@ -422,7 +439,28 @@ class TestProgramCache:
         assert compiled.cache_info().misses == info.misses + 1
 
 
+@st.composite
+def _structure_inputs(draw):
+    arities = draw(st.lists(st.integers(1, 3), max_size=3))
+    sig = Signature(tuple((f"R{i}", a) for i, a in enumerate(arities)))
+    size = draw(st.integers(1, 4))
+    point = st.integers(0, size - 1)
+    rows = {name: draw(st.lists(st.tuples(*[point] * arity), max_size=12))
+            for name, arity in sig.relations}
+    return sig, size, rows
+
+
 class TestJson:
+    @settings(max_examples=150, deadline=None)
+    @given(_structure_inputs())
+    def test_made_structure_round_trips(self, inputs):
+        sig, size, rows = inputs
+        M = Structure.make(sig, size, rows)
+        assert M.tables == tuple(frozenset(rows[name])
+                                 for name, _arity in sig.relations)
+        data = json.loads(json.dumps(model.structure_to_json(M)))
+        assert model.structure_from_json(data) == M
+
     def test_structure_round_trip(self, cycle3):
         data = model.structure_to_json(cycle3)
         assert data == {
