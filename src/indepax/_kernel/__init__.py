@@ -4,11 +4,12 @@
 partition refiner.  Callers look its functions up as attributes at call
 time, so a tracer can wrap them in place.
 
-A ``Program`` compiles each node to a closure as the node is added, and
-keeps the root's as ``Program.run``.  ``active.eval_program(prog, size,
-masks, env0)`` calls it as ``run(env, (size, masks, memo))`` with a fresh
-environment and memo, so one program can be evaluated from several threads
-at once.
+A ``Program`` holds one runner closure per node, built by the node
+constructors of ``pure`` (``atom``, ``eq``, ``not_``, ``and_``, ``or_``,
+``exists``, ``forall``), and the root's as ``Program.run``.
+``active.eval_program(prog, size, masks, env0)`` calls it as
+``run(env, (size, masks, memo))`` with a fresh environment and memo, so one
+program can be evaluated from several threads at once.
 
 ``active.refine_levels(first, width, init_labels)`` takes each item's
 one-element extensions as one contiguous block: the ``width[i]`` items from
@@ -18,14 +19,10 @@ level whose refinement is itself.
 """
 
 from . import pure
-from .pure import (OP_AND, OP_ATOM, OP_EQ, OP_EXISTS, OP_FORALL, OP_NOT,
-                   OP_OR, Program)
+from .pure import Program
 
 active = pure
 
 BACKEND = active.BACKEND
 
-__all__ = [
-    "Program", "OP_ATOM", "OP_EQ", "OP_NOT", "OP_AND", "OP_OR",
-    "OP_EXISTS", "OP_FORALL", "active", "pure", "BACKEND",
-]
+__all__ = ["Program", "active", "pure", "BACKEND"]

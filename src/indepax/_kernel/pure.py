@@ -1,9 +1,9 @@
 """Pure-Python kernel: the hot inner loops of evaluation and refinement.
 
-A compiled sentence is a DAG of numbered nodes, each compiled once to a
+A compiled sentence is a DAG of numbered nodes, each built once as a
 closure that evaluates it (Feeley & Lapalme 1987, "Using closures for code
-generation"): the opcode dispatch is paid when the program is built, not
-per node per structure.
+generation"): the compiler calls one constructor per node, so the choice of
+node kind is paid when the program is built, not per node per structure.
 """
 
 from array import array
@@ -13,22 +13,12 @@ from typing import Callable, Optional
 
 BACKEND = "pure"
 
-OP_ATOM = 0
-OP_EQ = 1
-OP_NOT = 2
-OP_AND = 3
-OP_OR = 4
-OP_EXISTS = 5
-OP_FORALL = 6
-
 
 @dataclass
 class Program:
     """Sentence DAG compiled to one closure per node, children first.
 
-    ops[i]    opcode of node i
-    used[i]   sorted env slots that node i's subtree reads (its memo key)
-    nodes[i]  node i's runner
+    ops[i]    node i's runner
     run       the root's runner
     nslots    env slots the program reads or binds
 
@@ -41,29 +31,17 @@ class Program:
     A runner's result is truthy iff the node holds.
     """
 
-    ops: list[int] = field(default_factory=list)
-    used: list[tuple[int, ...]] = field(default_factory=list)
-    nodes: list[Callable] = field(default_factory=list)
+    ops: list[Callable] = field(default_factory=list)
     run: Optional[Callable] = None
     nslots: int = 0
 
-    def add_node(self, op: int, a1: int = -1, a2: int = -1,
-                 kids: tuple[int, ...] = (), used: tuple[int, ...] = ()) -> int:
-        """Append node ``len(ops)`` and compile its runner.
 
-        ATOM: ``a1`` relation index, ``kids`` argument slots.  EQ: ``a1``,
-        ``a2`` the two slots.  NOT: ``a1`` child node.  AND/OR: ``kids``
-        child nodes.  EXISTS/FORALL: ``a1`` child node, ``a2`` bound slot.
-        Children must already be nodes of this program.
-        """
-        idx = len(self.ops)
-        self.ops.append(op)
-        self.used.append(used)
-        self.nodes.append(_COMPILE[op](idx, a1, a2, kids, used, self.nodes))
-        return idx
+# Node constructors, one per node kind, each returning the node's runner.
+# ``rel`` is a relation index and ``slot``/``slots``/``a``/``b`` are env
+# slots; ``i`` is the node's number in its program, which keys its memo
+# entries, and ``used`` lists, sorted, the env slots its subtree reads.
 
-
-def _atom(i, rel, _a2, slots, _used, _nodes):
+def atom(rel: int, slots: tuple[int, ...]) -> Callable:
     # bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left)
     if len(slots) == 1:
         (a,) = slots
@@ -85,15 +63,13 @@ def _atom(i, rel, _a2, slots, _used, _nodes):
     return run
 
 
-def _eq(i, a, b, _kids, _used, _nodes):
+def eq(a: int, b: int) -> Callable:
     def run(env, ctx):
         return env[a] == env[b]
     return run
 
 
-def _not(i, c, _a2, _kids, _used, nodes):
-    child = nodes[c]
-
+def not_(child: Callable) -> Callable:
     def run(env, ctx):
         return not child(env, ctx)
     return run
@@ -110,8 +86,8 @@ def _key_getter(used):
     return itemgetter(*used) if used else None
 
 
-def _and(i, _a1, _a2, kids, used, nodes):
-    children = tuple(nodes[k] for k in kids)
+def and_(i: int, children: tuple[Callable, ...],
+         used: tuple[int, ...]) -> Callable:
     get = _key_getter(used)
 
     def run(env, ctx):
@@ -129,8 +105,8 @@ def _and(i, _a1, _a2, kids, used, nodes):
     return run
 
 
-def _or(i, _a1, _a2, kids, used, nodes):
-    children = tuple(nodes[k] for k in kids)
+def or_(i: int, children: tuple[Callable, ...],
+        used: tuple[int, ...]) -> Callable:
     get = _key_getter(used)
 
     def run(env, ctx):
@@ -148,8 +124,8 @@ def _or(i, _a1, _a2, kids, used, nodes):
     return run
 
 
-def _exists(i, c, slot, _kids, used, nodes):
-    child = nodes[c]
+def exists(i: int, child: Callable, slot: int,
+           used: tuple[int, ...]) -> Callable:
     get = _key_getter(used)
 
     def run(env, ctx):
@@ -168,8 +144,8 @@ def _exists(i, c, slot, _kids, used, nodes):
     return run
 
 
-def _forall(i, c, slot, _kids, used, nodes):
-    child = nodes[c]
+def forall(i: int, child: Callable, slot: int,
+           used: tuple[int, ...]) -> Callable:
     get = _key_getter(used)
 
     def run(env, ctx):
@@ -186,10 +162,6 @@ def _forall(i, c, slot, _kids, used, nodes):
             memo[key] = res
         return res
     return run
-
-
-_COMPILE = {OP_ATOM: _atom, OP_EQ: _eq, OP_NOT: _not, OP_AND: _and,
-            OP_OR: _or, OP_EXISTS: _exists, OP_FORALL: _forall}
 
 
 def eval_program(prog: Program, size: int, masks: tuple[int, ...],

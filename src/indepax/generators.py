@@ -15,6 +15,14 @@ from .setfam import SetFamily
 
 FUZZ_SIGNATURE = Signature((("P", 1), ("R", 2)))
 
+# draws before a generator gives up
+THEORY_ATTEMPTS = 200
+PARTITION_ATTEMPTS = 300
+TYPE_ATTEMPTS = 50
+# random_family: universes of 1..16 elements, 0..8 sets
+FAMILY_MAX_UNIVERSE = 16
+FAMILY_MAX_SETS = 8
+
 
 def random_formula(rng: random.Random, depth: int, scope: tuple[str, ...] = ()
                    ) -> Sentence:
@@ -50,27 +58,22 @@ def _leaf(rng: random.Random, scope: tuple[str, ...]) -> Sentence:
 
 
 def random_theory(rng: random.Random, space: ModelSpace,
-                  max_sentences: int = 5, depth: int = 4,
-                  require_consistent: bool = True,
-                  max_attempts: int = 200) -> Theory:
-    """Random theory over the fuzz signature, resampled until consistent
-    after preprocessing when requested."""
-    for _ in range(max_attempts):
+                  max_sentences: int = 5, depth: int = 4) -> Theory:
+    """Random theory over the fuzz signature, resampled until it has a model
+    in the space."""
+    for _ in range(THEORY_ATTEMPTS):
         n = rng.randint(1, max_sentences)
         T = Theory.of([random_formula(rng, depth) for _ in range(n)])
-        if not require_consistent:
-            return T
         if space.theory_mask(T):
             return T
     raise RuntimeError("could not generate a consistent theory")
 
 
-def random_family(rng: random.Random, max_universe: int = 16,
-                  max_sets: int = 8) -> SetFamily:
+def random_family(rng: random.Random) -> SetFamily:
     """Random family with a nonempty intersection (a common element is
     forced into every set)."""
-    universe = rng.randint(1, max_universe)
-    k = rng.randint(0, max_sets)
+    universe = rng.randint(1, FAMILY_MAX_UNIVERSE)
+    k = rng.randint(0, FAMILY_MAX_SETS)
     common = rng.randrange(universe)
     full = (1 << universe) - 1
     sets = []
@@ -80,15 +83,14 @@ def random_family(rng: random.Random, max_universe: int = 16,
     return SetFamily(universe, tuple(sets))
 
 
-def random_partition_instance(rng: random.Random, space: ModelSpace,
-                              max_attempts: int = 300
+def random_partition_instance(rng: random.Random, space: ModelSpace
                               ) -> Optional[tuple[Theory, int, list[Sentence]]]:
     """(theory, pivot index, parts) such that the parts partition the
     negation of the pivot over the space: counter-model classes of the
     pivot are split into blocks and each part is the disjunction of the
     block's Scott sentences."""
     from .scott import space_scott_sentence
-    for _ in range(max_attempts):
+    for _ in range(PARTITION_ATTEMPTS):
         n = rng.randint(2, 4)
         T = random_theory(rng, space, max_sentences=n, depth=3)
         if len(T) < 2:
@@ -125,7 +127,7 @@ def random_pair_instance(rng: random.Random, space: ModelSpace
 
 
 def random_type_instance(rng: random.Random, space: ModelSpace,
-                         count: int, max_attempts: int = 50
+                         count: int
                          ) -> Optional[list[tuple[TypeId, list[Sentence]]]]:
     """2..6 stabilized one-element types realized in pairwise disjoint sets
     of space models, as negation-completed formula sets (each type carries
@@ -142,7 +144,7 @@ def random_type_instance(rng: random.Random, space: ModelSpace,
             realizers.setdefault(lab, (si, e))
             rep_sets[lab] = rep_sets.get(lab, 0) | (1 << si)
     labels = sorted(realizers)
-    for _ in range(max_attempts):
+    for _ in range(TYPE_ATTEMPTS):
         rng.shuffle(labels)
         chosen: list[int] = []
         used_reps = 0

@@ -14,13 +14,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import _kernel
-from ._kernel import (OP_AND, OP_ATOM, OP_EQ, OP_EXISTS, OP_FORALL, OP_NOT,
-                      OP_OR, Program)
+from ._kernel import Program, pure
 from .errors import (EnumerationOverflowError, MalformedSentenceError,
-                     ParseError, SignatureMismatchError)
+                     ParseError, PreconditionError, SignatureMismatchError)
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_.'-]*$")
 MAX_PARSE_DEPTH = 400
@@ -392,6 +391,11 @@ class Signature:
         return self.relations[self.index[name]][1]
 
 
+#: most cells (``size**arity``) a relation of a ``Structure.make`` input may
+#: have: its mask takes one bit per cell, so at most 2 MiB
+MAX_STRUCTURE_CELLS = 1 << 24
+
+
 @dataclass(frozen=True)
 class Structure:
     """Finite structure with universe 0..size-1: per relation of
@@ -410,6 +414,13 @@ class Structure:
         extra = set(tables) - set(signature.index)
         if extra:
             raise ParseError(f"unknown relations in tables: {sorted(extra)}")
+        for name, arity in signature.relations:
+            # past 64 the arity cannot bring size**arity under the cap
+            # unless size is 1, and the power itself could be huge
+            if size ** min(arity, 64) > MAX_STRUCTURE_CELLS:
+                raise PreconditionError(
+                    f"relation {name} of arity {arity} has more than "
+                    f"{MAX_STRUCTURE_CELLS} cells at size {size}")
         masks = []
         for name, arity in signature.relations:
             bits = []
@@ -489,12 +500,15 @@ def compile_sentence(sentence: Sentence, signature: Signature,
         raise MalformedSentenceError(
             f"unbound variables: {sorted(missing)}")
     prog = Program()
+    ops = prog.ops
     rel_index = signature.index
     arities = dict(signature.relations)
     node_memo: dict = {}
     max_slot = len(free_order) - 1
 
-    def rec(node: Sentence, binding: dict[str, int], next_slot: int) -> int:
+    def rec(node: Sentence, binding: dict[str, int],
+            next_slot: int) -> tuple[Callable, tuple[int, ...]]:
+        """The node's runner and the sorted env slots its subtree reads."""
         nonlocal max_slot
         fkey = tuple(sorted((v, binding[v]) for v in node.free))
         memo_key = (id(node), fkey)
@@ -509,36 +523,40 @@ def compile_sentence(sentence: Sentence, signature: Signature,
                     f"relation {node.rel} expects {arities[node.rel]} "
                     f"arguments, got {len(node.args)}")
             slots = tuple(binding[v] for v in node.args)
-            idx = prog.add_node(OP_ATOM, rel_index[node.rel], kids=slots,
-                                used=tuple(sorted(set(slots))))
+            run = pure.atom(rel_index[node.rel], slots)
+            used = tuple(sorted(set(slots)))
         elif isinstance(node, Eq):
             a, b = binding[node.left], binding[node.right]
-            idx = prog.add_node(OP_EQ, a, b, used=tuple(sorted({a, b})))
+            run, used = pure.eq(a, b), tuple(sorted({a, b}))
         elif isinstance(node, Not):
-            c = rec(node.child, binding, next_slot)
-            idx = prog.add_node(OP_NOT, c, used=prog.used[c])
+            child, used = rec(node.child, binding, next_slot)
+            run = pure.not_(child)
         elif isinstance(node, (And, Or)):
-            kids = tuple(rec(c, binding, next_slot) for c in node.children)
-            used = sorted(set().union(*(prog.used[k] for k in kids)))
-            idx = prog.add_node(OP_AND if isinstance(node, And) else OP_OR,
-                                kids=kids, used=tuple(used))
+            kids = [rec(c, binding, next_slot) for c in node.children]
+            used = tuple(sorted(set().union(*(u for _run, u in kids))))
+            make = pure.and_ if isinstance(node, And) else pure.or_
+            run = make(len(ops), tuple(r for r, _used in kids), used)
         elif isinstance(node, (Exists, Forall)):
             slot = next_slot
             max_slot = max(max_slot, slot)
             inner = dict(binding)
             inner[node.var] = slot
-            c = rec(node.child, inner, next_slot + 1)
-            used = tuple(s for s in prog.used[c] if s != slot)
-            idx = prog.add_node(OP_EXISTS if isinstance(node, Exists) else OP_FORALL,
-                                c, slot, used=used)
+            child, child_used = rec(node.child, inner, next_slot + 1)
+            used = tuple(s for s in child_used if s != slot)
+            make = pure.exists if isinstance(node, Exists) else pure.forall
+            run = make(len(ops), child, slot, used)
         else:
             raise MalformedSentenceError(f"not a formula node: {node!r}")
-        node_memo[memo_key] = idx
-        return idx
+        ops.append(run)
+        node_memo[memo_key] = run, used
+        return run, used
 
     base = {v: i for i, v in enumerate(free_order)}
-    prog.run = prog.nodes[rec(sentence, base, len(free_order))]
+    prog.run = rec(sentence, base, len(free_order))[0]
     prog.nslots = max_slot + 1
+    # rec reaches itself through its closure: unbinding it frees node_memo
+    # now instead of at the next cyclic garbage collection
+    del rec
     return prog
 
 
@@ -778,9 +796,12 @@ def _canonical_keys(signature: Signature, size: int):
     return walk(0, rows, ())
 
 
+#: most labeled structures of one size that ``enumerate_models`` generates
+MAX_LABELED_STRUCTURES = 2_000_000
+
+
 def enumerate_models(signature: Signature, max_size: int,
-                     class_cap: Optional[int] = 100_000,
-                     labeled_cap: int = 2_000_000) -> ModelSpace:
+                     class_cap: Optional[int] = 100_000) -> ModelSpace:
     """One canonical representative per isomorphism class of size 1..max_size.
 
     A structure's key is its ``masks`` tuple.  A class's representative is
@@ -791,9 +812,9 @@ def enumerate_models(signature: Signature, max_size: int,
     Read 1978; see ``_canonical_keys``), so no labeled structure is
     relabeled n! times and nothing is deduplicated or sorted.
 
-    ``labeled_cap`` bounds the labeled structures of one size, checked
-    before that size is generated; ``class_cap`` bounds the classes of all
-    sizes together.
+    ``MAX_LABELED_STRUCTURES`` bounds the labeled structures of one size,
+    checked before that size is generated; ``class_cap`` bounds the classes
+    of all sizes together.
     """
     if max_size < 1:
         raise EnumerationOverflowError("max_size must be >= 1")
@@ -802,10 +823,10 @@ def enumerate_models(signature: Signature, max_size: int,
         total = 1
         for _name, arity in signature.relations:
             total *= 2 ** (n ** arity)
-            if total > labeled_cap:
+            if total > MAX_LABELED_STRUCTURES:
                 raise EnumerationOverflowError(
                     f"{total}+ labeled structures of size {n} exceeds cap "
-                    f"{labeled_cap}")
+                    f"{MAX_LABELED_STRUCTURES}")
         for key in _canonical_keys(signature, n):
             if class_cap is not None and len(reps) >= class_cap:
                 raise EnumerationOverflowError(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +31,10 @@ from .model import (And, Atom, Eq, ModelSpace, Not, Or, Sentence,
 # of heap per item (R/2 at max-size 4: 1,050,908 items, 153 MB peak RSS),
 # so the cap keeps a partition under about 300 MB.
 MAX_PARTITION_ITEMS = 2_000_000
+# Building the fact table behind one tuple length's atomic types peaks at
+# about 16 bytes of heap per entry (R/16 at size 2, pairs: 1,310,720
+# entries, 20.5 MB), so the cap keeps one under about 32 MB.
+MAX_FACT_TABLE_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class TypePartition:
     Items are laid out per structure, by length 0..n_max, each length block
     in ``itertools.product`` order; ``block(si, length)`` gives where that
     block of structure si starts and ends.  No item is stored: ``items``
-    is a read-only view that derives them from this layout."""
+    derives them from this layout, for ``len()`` and iteration."""
 
     structures: tuple[Structure, ...]
     n_max: int
@@ -97,7 +100,7 @@ class TypePartition:
         return max(self.levels[min(level, self.stabilization_level)]) + 1
 
 
-class PartitionItems(Sequence):
+class PartitionItems:
     """The (structure index, tuple) items of a ``TypePartition`` in layout
     order, derived on demand from its structures and offsets."""
 
@@ -115,22 +118,6 @@ class PartitionItems(Sequence):
             for length in range(part.n_max + 1):
                 yield from zip(itertools.repeat(si),
                                itertools.product(range(M.size), repeat=length))
-
-    def __getitem__(self, idx: int) -> tuple[int, tuple[int, ...]]:
-        if idx < 0:
-            idx += len(self)
-        if not 0 <= idx < len(self):
-            raise IndexError("partition item index out of range")
-        part = self._part
-        si = bisect_right(part.offsets, idx, key=itemgetter(0)) - 1
-        length = bisect_right(part.offsets[si], idx) - 1
-        rank = idx - part.offsets[si][length]
-        size = part.structures[si].size
-        tup = []
-        for _ in range(length):
-            rank, v = divmod(rank, size)
-            tup.append(v)
-        return si, tuple(reversed(tup))
 
 
 @lru_cache(maxsize=64)
@@ -193,7 +180,9 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
     first level equal to its predecessor.
 
     Raises EnumerationOverflowError, before allocating anything, when the
-    partition would have more than ``MAX_PARTITION_ITEMS`` items.
+    partition would have more than ``MAX_PARTITION_ITEMS`` items, or the
+    table of relation facts behind one tuple length's atomic types more
+    than ``MAX_FACT_TABLE_ENTRIES`` entries.
     """
     structures = tuple(structures)
     if not structures:
@@ -215,6 +204,20 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         raise EnumerationOverflowError(
             f"joint type partition of {count} items exceeds cap "
             f"{MAX_PARTITION_ITEMS}")
+    # the atomic types of k-tuples over ``size`` elements read a relation
+    # of arity a through ``_fact_getters(size, k, a)``: k**a position
+    # combinations of a positions each, and size**k getters of one bit
+    # index per combination.  The item cap bounds k, and ``Structure.make``
+    # bounds a at sizes over 1.
+    for size in sorted({M.size for M in structures}):
+        for k, (name, arity) in itertools.product(range(1, n_max + 1),
+                                                  sig.relations):
+            entries = (size ** k + arity) * k ** arity
+            if entries > MAX_FACT_TABLE_ENTRIES:
+                raise EnumerationOverflowError(
+                    f"atomic types of the {k}-tuples of size {size} exceed "
+                    f"cap {MAX_FACT_TABLE_ENTRIES}: reading relation {name} "
+                    f"takes a table of {entries} entries")
 
     offsets = []
     init: list[int] = []

@@ -16,9 +16,12 @@ from typing import Optional, Sequence, Union
 from .errors import PreconditionError
 from .model import ModelSpace, Sentence, Structure, Theory
 
-DEFAULT_ALPHA_CAP = 6
-DEFAULT_TYPE_SIZE_CAP = 4
-DEFAULT_ISO_SIZE_CAP = 8
+#: highest level the type oracle recurses to
+ALPHA_CAP = 6
+#: largest structure the type oracle accepts
+TYPE_SIZE_CAP = 4
+#: largest structure the isomorphism oracle searches
+ISO_SIZE_CAP = 8
 
 
 class TypeOracle:
@@ -28,15 +31,13 @@ class TypeOracle:
     tuples at the length cap never split past their atomic type.
     Memoized on (tuple, tuple, level)."""
 
-    def __init__(self, M: Structure, N: Structure,
-                 alpha_cap: int = DEFAULT_ALPHA_CAP,
-                 size_cap: int = DEFAULT_TYPE_SIZE_CAP):
-        if M.size > size_cap or N.size > size_cap:
+    def __init__(self, M: Structure, N: Structure):
+        if M.size > TYPE_SIZE_CAP or N.size > TYPE_SIZE_CAP:
             raise PreconditionError(
-                f"structure sizes {M.size},{N.size} exceed oracle cap {size_cap}")
+                f"structure sizes {M.size},{N.size} exceed oracle cap "
+                f"{TYPE_SIZE_CAP}")
         self.M = M
         self.N = N
-        self.alpha_cap = alpha_cap
         self.n_max = max(M.size, N.size)
         self._memo: dict = {}
         self._atom_memo: dict = {}
@@ -59,9 +60,9 @@ class TypeOracle:
         a, b = tuple(a), tuple(b)
         if len(a) != len(b):
             raise PreconditionError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-        if alpha > self.alpha_cap:
+        if alpha > ALPHA_CAP:
             raise PreconditionError(
-                f"level {alpha} exceeds recursion cap {self.alpha_cap}")
+                f"level {alpha} exceeds recursion cap {ALPHA_CAP}")
         return self._eq(a, b, alpha)
 
     def _eq(self, a, b, alpha) -> bool:
@@ -92,20 +93,18 @@ class TypeOracle:
 
 
 def oracle_types_equal(M: Structure, a: Sequence[int], N: Structure,
-                       b: Sequence[int], alpha: int,
-                       alpha_cap: int = DEFAULT_ALPHA_CAP,
-                       size_cap: int = DEFAULT_TYPE_SIZE_CAP) -> bool:
+                       b: Sequence[int], alpha: int) -> bool:
     """One-shot type-equality query; see TypeOracle for batched use."""
-    return TypeOracle(M, N, alpha_cap, size_cap).equal(a, b, alpha)
+    return TypeOracle(M, N).equal(a, b, alpha)
 
 
-def oracle_isomorphic(M: Structure, N: Structure,
-                      size_cap: int = DEFAULT_ISO_SIZE_CAP
+def oracle_isomorphic(M: Structure, N: Structure
                       ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustive permutation search; returns a witness bijection."""
-    if M.size > size_cap or N.size > size_cap:
+    if M.size > ISO_SIZE_CAP or N.size > ISO_SIZE_CAP:
         raise PreconditionError(
-            f"structure sizes {M.size},{N.size} exceed oracle cap {size_cap}")
+            f"structure sizes {M.size},{N.size} exceed oracle cap "
+            f"{ISO_SIZE_CAP}")
     if M.signature != N.signature or M.size != N.size:
         return False, None
     for perm in itertools.permutations(range(M.size)):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -8,12 +9,19 @@ import pytest
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def run_cli(*args, hash_seed="0"):
+def run_cli(*args, hash_seed="0", max_bytes=None):
+    """Run the CLI in a child process; ``max_bytes`` caps its address
+    space, so an input it cannot hold fails fast instead of swapping."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = hash_seed
+    limit = None
+    if max_bytes is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run([sys.executable, "-m", "indepax.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +263,29 @@ class TestErrorPaths:
         r = run_cli("scott", str(path))
         assert r.returncode == 1
         assert r.stderr.startswith("error: joint type partition exceeds cap")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("arity,size,rows,message", [
+        # masks of 2**70 cells, whether a row sets the top bit or bit 0
+        (70, 2, [[1] * 70], "more than 16777216 cells"),
+        (70, 2, [[0] * 70], "more than 16777216 cells"),
+        # a 4**24-entry table would read the facts of the pairs
+        (24, 2, [[1] * 24], "atomic types of the 2-tuples of size 2"),
+        # a one-row unary relation whose mask would take 125 GB
+        (1, 10 ** 12, [[10 ** 12 - 1]], "more than 16777216 cells"),
+        # one cell, but each position combination holds 10**9 positions
+        (10 ** 9, 1, [], "atomic types of the 1-tuples of size 1"),
+    ])
+    def test_oversized_structure_exits_1(self, tmp_path, arity, size, rows,
+                                         message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "signature": [{"name": "R", "arity": arity}], "size": size,
+            "relations": {"R": rows}}))
+        r = run_cli("scott", str(path), max_bytes=1 << 30)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error:")
+        assert message in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command,data", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from indepax import model
 from indepax.errors import (EnumerationOverflowError, MalformedSentenceError,
-                            ParseError)
+                            ParseError, PreconditionError)
 from indepax.model import (And, Atom, Eq, Exists, Forall, Not, Or, Signature,
                            Structure, Theory, enumerate_models, entails,
                            infer_signature, models_of, parse_sentence,
@@ -183,11 +183,12 @@ class TestEnumeration:
             assert any(oracle_isomorphic(M, r)[0]
                        for r in space.representatives if r.size == n)
 
-    def test_overflow_cap(self, binary_sig):
+    def test_overflow_cap(self, binary_sig, monkeypatch):
         with pytest.raises(EnumerationOverflowError):
             enumerate_models(binary_sig, 3, class_cap=10)
+        monkeypatch.setattr(model, "MAX_LABELED_STRUCTURES", 1000)
         with pytest.raises(EnumerationOverflowError):
-            enumerate_models(binary_sig, 6, labeled_cap=1000)
+            enumerate_models(binary_sig, 6)
 
     @pytest.mark.parametrize("relations,max_size,digest", [
         ((("P", 1), ("R", 2)), 3,
@@ -311,8 +312,8 @@ class TestSpaceQueries:
         from indepax import generators
         rng = random.Random(6)
         for _ in range(15):
-            T = generators.random_theory(rng, ub_space, max_sentences=2,
-                                         depth=3, require_consistent=False)
+            T = Theory.of([generators.random_formula(rng, 3)
+                           for _ in range(rng.randint(1, 2))])
             s = generators.random_formula(rng, 3)
             ok, _ = entails(T, s, ub_space)
             with_s = list(T.sentences) + [s]
@@ -416,20 +417,24 @@ class TestProgramCache:
         reps = ub_space.representatives[::40]
         compiled = model.compile_sentence
         compiled.cache_clear()
-        kernel_files = tracemalloc.Filter(
-            True, os.path.join(os.path.dirname(_kernel.__file__), "*"))
+        # a program's runners are made in the kernel, the tuples of their
+        # children and the cache's entries in model.py
+        program_files = [
+            tracemalloc.Filter(
+                True, os.path.join(os.path.dirname(_kernel.__file__), "*")),
+            tracemalloc.Filter(True, model.__file__)]
         tracemalloc.start()
         try:
             first = [[model.eval(M, s) for M in reps] for s in sentences]
             held = sum(stat.size for stat in tracemalloc.take_snapshot()
-                       .filter_traces([kernel_files]).statistics("filename"))
+                       .filter_traces(program_files).statistics("filename"))
         finally:
             tracemalloc.stop()
         info = compiled.cache_info()
         assert info.currsize == cap
         # the last sentences' programs are the cached ones (no new miss);
-        # the kernel keeps under 500 bytes per node of them, and an
-        # unbounded cache would keep every program
+        # they hold under 1,000 bytes per node, and an unbounded cache
+        # would keep every program
         cached_nodes = sum(len(compiled(s, ub_space.signature, ()).ops)
                            for s in sentences[-cap:])
         assert compiled.cache_info().misses == info.misses
@@ -437,6 +442,26 @@ class TestProgramCache:
         # the first sentence was evicted: it compiles again, same answers
         assert [model.eval(M, sentences[0]) for M in reps] == first[0]
         assert compiled.cache_info().misses == info.misses + 1
+
+    def test_node_counts_are_pinned(self, ub_space):
+        # one runner per DAG node; the counts were computed when each node
+        # was compiled from an opcode, so the DAG has not changed
+        import random
+        from indepax import generators, scott
+        sig = ub_space.signature
+        rng = random.Random(41)
+        cases = [(generators.random_formula(rng, 7), ()) for _ in range(6)]
+        cases += [(generators.random_formula(rng, 6, ("x",)), ("x",))
+                  for _ in range(4)]
+        for i in (5, 100, 400):
+            M = ub_space.representatives[i]
+            cases += [(scott.scott_sentence(M), ()),
+                      (scott.type_formula(M, (0,), 2), ("x0",)),
+                      (scott.type_formula(M, (1, 0), 1), ("x1", "x0"))]
+        counts = [len(model.compile_sentence(s, sig, order).ops)
+                  for s, order in cases]
+        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 4, 5, 105, 55, 35, 741,
+                          191, 70, 461, 167, 69]
 
 
 @st.composite
@@ -479,6 +504,15 @@ class TestJson:
             Structure.make(binary_sig, 0, {})
         with pytest.raises(ParseError):
             Structure.make(binary_sig, 2, {"Q": [(0, 1)]})
+
+    def test_cell_cap_is_checked_before_allocating(self):
+        # 2**24 cells is the cap itself; 2**70 would not fit in memory
+        at_cap = Signature((("R", model.MAX_STRUCTURE_CELLS.bit_length() - 1),))
+        assert Structure.make(at_cap, 2, {}).masks == (0,)
+        with pytest.raises(PreconditionError, match="more than 16777216"):
+            Structure.make(Signature((("R", 70),)), 2, {"R": [(1,) * 70]})
+        # a size-1 relation has one cell, whatever its arity
+        assert Structure.make(Signature((("R", 10 ** 9),)), 1, {}).masks == (0,)
 
     def test_theory_round_trip(self):
         T = Theory.of([parse_sentence("(exists x (atom P x))"),
