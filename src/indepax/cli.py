@@ -149,12 +149,7 @@ def cmd_setfam(args) -> int:
                "max_size": args.max_size, "family": setfam.family_to_json(F)},
               args.out, "setfam.json")
         return 0
-    with open(args.family, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON in {args.family}: {exc}") from None
-    F = setfam.family_from_json(data)
+    F = setfam.family_from_json(model.load_json(args.family))
     if args.check:
         ok, check = setfam.family_is_independent(F)
         print(f"independent: {ok}" + (f" ({check.failure})" if not ok else ""))
@@ -298,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scott", parents=[output],
                         help="Scott height, invariant, and sentence")
     sp.add_argument("structure", help="structure JSON file")
-    sp.add_argument("--cap-materialize", type=int, default=4,
+    sp.add_argument("--cap-materialize", type=int,
+                    default=scott.DEFAULT_MATERIALIZE_CAP,
                     help="size cap for Scott sentence materialization")
     sp.set_defaults(func=cmd_scott)
 

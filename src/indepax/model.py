@@ -55,7 +55,7 @@ class Atom(Sentence):
 
     def __new__(cls, rel: str, args: Iterable[str]):
         args = tuple(args)
-        key = (0, rel, args)
+        key = (cls, rel, args)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -70,7 +70,7 @@ class Eq(Sentence):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: str, right: str):
-        key = (1, left, right)
+        key = (cls, left, right)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -85,7 +85,7 @@ class Not(Sentence):
     __slots__ = ("child",)
 
     def __new__(cls, child: Sentence):
-        key = (2, child)
+        key = (cls, child)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -105,7 +105,7 @@ class And(Sentence):
         kids = tuple(dict.fromkeys(children))  # nodes hash by identity
         if len(kids) == 1:
             return kids[0]
-        key = (3, kids)
+        key = (cls, kids)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -116,29 +116,17 @@ class And(Sentence):
 
 
 class Or(Sentence):
-    """Finite disjunction; empty disjunction is false."""
+    """Finite disjunction, built as ``And`` is; empty disjunction is false."""
 
     __slots__ = ("children",)
-
-    def __new__(cls, children: Iterable[Sentence]):
-        kids = tuple(dict.fromkeys(children))  # nodes hash by identity
-        if len(kids) == 1:
-            return kids[0]
-        key = (4, kids)
-        node = _INTERN.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            node.children = kids
-            node.free = _free(frozenset().union(*(c.free for c in kids)))
-            _INTERN[key] = node
-        return node
+    __new__ = And.__new__
 
 
 class Exists(Sentence):
     __slots__ = ("var", "child")
 
     def __new__(cls, var: str, child: Sentence):
-        key = (5, var, child)
+        key = (cls, var, child)
         node = _INTERN.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -151,17 +139,7 @@ class Exists(Sentence):
 
 class Forall(Sentence):
     __slots__ = ("var", "child")
-
-    def __new__(cls, var: str, child: Sentence):
-        key = (6, var, child)
-        node = _INTERN.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            node.var = var
-            node.child = child
-            node.free = _free(child.free - {var})
-            _INTERN[key] = node
-        return node
+    __new__ = Exists.__new__
 
 
 #: canonical contradiction: no element differs from itself
@@ -214,134 +192,96 @@ def to_sexpr(sentence: Sentence) -> str:
     return "".join(out)
 
 
-_TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
-
-
-def _tokenize(text: str):
-    pos = 0
-    while True:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:]
-            if rest.strip():
-                raise ParseError(f"unexpected input {rest.strip()[:10]!r}", pos)
-            return
-        yield m.group(1), m.start(1)
-        pos = m.end()
-
-
-def _check_ident(tok: str, pos: int, what: str) -> str:
-    if not _IDENT.match(tok):
-        raise ParseError(f"invalid {what} {tok!r}", pos)
-    return tok
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
 def parse_sentence(text: str) -> Sentence:
-    """Parse one s-expression formula; raises ParseError with a position."""
-    tokens = list(_tokenize(text))
-    node, nxt = _parse_at(tokens, 0)
-    if nxt != len(tokens):
-        raise ParseError("trailing input after sentence", tokens[nxt][1])
-    return node
+    """Parse one s-expression formula; raises ParseError with a position.
 
-
-def _parse_at(tokens, i) -> tuple[Sentence, int]:
-    # first pass: nested token lists (iterative, so depth is data not stack)
-    if i >= len(tokens):
-        raise ParseError("unexpected end of input")
-    stack: list[list] = []
+    One pass over the tokens: a ``(`` opens a frame of its position and
+    items, and its ``)`` builds the frame's node at once and hands it, with
+    that position, to the enclosing frame.  Only the open frames and the
+    interned nodes are held, so memory follows the nesting depth and the
+    distinct nodes, not the length of the text."""
+    stack: list[list] = []  # open frames: [position, (item, position), ...]
     root = None
-    depth = 0
-    while True:
-        if i >= len(tokens):
-            raise ParseError("unclosed '('", tokens[-1][1])
-        tok, pos = tokens[i]
-        i += 1
+    pos = None
+    for m in _TOKEN.finditer(text):
+        tok, pos = m.group(), m.start()
+        if root is not None:
+            raise ParseError("trailing input after sentence", pos)
         if tok == "(":
-            depth += 1
-            if depth > MAX_PARSE_DEPTH:
+            if len(stack) == MAX_PARSE_DEPTH:
                 raise ParseError("expression too deeply nested", pos)
             stack.append([pos])
         elif tok == ")":
             if not stack:
                 raise ParseError("unmatched ')'", pos)
-            done = stack.pop()
-            depth -= 1
+            frame = stack.pop()
+            node = _node(frame)
             if stack:
-                stack[-1].append(done)
+                stack[-1].append((node, frame[0]))
             else:
-                root = done
-                break
-        else:
-            if not stack:
-                raise ParseError("expected '('", pos)
+                root = node
+        elif stack:
             stack[-1].append((tok, pos))
-    return _build(root), i
-
-
-def _build(lst) -> Sentence:
-    # explicit stack: convert nested lists bottom-up
-    built: dict[int, Sentence] = {}
-    work = [(lst, False)]
-    while work:
-        node, expanded = work.pop()
-        pos = node[0]
-        items = node[1:]
-        if not items:
-            raise ParseError("empty expression", pos)
-        head = items[0]
-        if not isinstance(head, tuple):
-            raise ParseError("operator must be a symbol", pos)
-        op, oppos = head
-        if not expanded:
-            work.append((node, True))
-            for sub in items[1:]:
-                if isinstance(sub, list):
-                    work.append((sub, False))
-            continue
-        args = items[1:]
-
-        def as_formula(x):
-            if isinstance(x, list):
-                return built[id(x)]
-            raise ParseError(f"expected a subexpression, got {x[0]!r}", x[1])
-
-        def as_name(x, what):
-            if isinstance(x, list):
-                raise ParseError(f"expected {what}", x[0])
-            return _check_ident(x[0], x[1], what)
-
-        if op in ("and", "or"):
-            kids = [as_formula(a) for a in args]
-            built[id(node)] = And(kids) if op == "and" else Or(kids)
-        elif op == "not":
-            if len(args) != 1:
-                raise ParseError("not takes one argument", oppos)
-            built[id(node)] = Not(as_formula(args[0]))
-        elif op in ("exists", "forall"):
-            if len(args) != 2:
-                raise ParseError(f"{op} takes a variable and a body", oppos)
-            var = as_name(args[0], "variable")
-            body = as_formula(args[1])
-            built[id(node)] = (Exists if op == "exists" else Forall)(var, body)
-        elif op == "atom":
-            if not args:
-                raise ParseError("atom needs a relation name", oppos)
-            rel = as_name(args[0], "relation name")
-            vs = [as_name(a, "variable") for a in args[1:]]
-            if not vs:
-                # signatures have no 0-ary relations
-                raise ParseError(f"atom {rel} needs at least one argument",
-                                 oppos)
-            built[id(node)] = Atom(rel, vs)
-        elif op == "eq":
-            if len(args) != 2:
-                raise ParseError("eq takes two variables", oppos)
-            built[id(node)] = Eq(as_name(args[0], "variable"),
-                                 as_name(args[1], "variable"))
         else:
-            raise ParseError(f"unknown operator {op!r}", oppos)
-    return built[id(lst)]
+            raise ParseError("expected '('", pos)
+    if root is None:
+        if stack:
+            raise ParseError("unclosed '('", pos)
+        raise ParseError("unexpected end of input")
+    return root
+
+
+def _formula(item) -> Sentence:
+    x, pos = item
+    if isinstance(x, str):
+        raise ParseError(f"expected a subexpression, got {x!r}", pos)
+    return x
+
+
+def _name(item, what: str) -> str:
+    x, pos = item
+    if not isinstance(x, str):
+        raise ParseError(f"expected {what}", pos)
+    if not _IDENT.match(x):
+        raise ParseError(f"invalid {what} {x!r}", pos)
+    return x
+
+
+def _node(frame: list) -> Sentence:
+    """The node of a closed frame, whose items are tokens and built nodes."""
+    if len(frame) == 1:
+        raise ParseError("empty expression", frame[0])
+    (op, oppos), args = frame[1], frame[2:]
+    if not isinstance(op, str):
+        raise ParseError("operator must be a symbol", frame[0])
+    if op in ("and", "or"):
+        return (And if op == "and" else Or)([_formula(a) for a in args])
+    if op == "not":
+        if len(args) != 1:
+            raise ParseError("not takes one argument", oppos)
+        return Not(_formula(args[0]))
+    if op in ("exists", "forall"):
+        if len(args) != 2:
+            raise ParseError(f"{op} takes a variable and a body", oppos)
+        var = _name(args[0], "variable")
+        return (Exists if op == "exists" else Forall)(var, _formula(args[1]))
+    if op == "atom":
+        if not args:
+            raise ParseError("atom needs a relation name", oppos)
+        rel = _name(args[0], "relation name")
+        vs = [_name(a, "variable") for a in args[1:]]
+        if not vs:
+            # signatures have no 0-ary relations
+            raise ParseError(f"atom {rel} needs at least one argument", oppos)
+        return Atom(rel, vs)
+    if op == "eq":
+        if len(args) != 2:
+            raise ParseError("eq takes two variables", oppos)
+        return Eq(_name(args[0], "variable"), _name(args[1], "variable"))
+    raise ParseError(f"unknown operator {op!r}", oppos)
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +826,17 @@ def structure_from_json(data: dict) -> Structure:
     return Structure.make(sig, size, tables)
 
 
-def load_structure(path: str) -> Structure:
+def load_json(path: str):
+    """The JSON value in a file; malformed JSON raises ParseError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON in {path}: {exc}") from None
-    return structure_from_json(data)
+
+
+def load_structure(path: str) -> Structure:
+    return structure_from_json(load_json(path))
 
 
 def theory_to_json(T: Theory) -> list[str]:
@@ -906,12 +850,7 @@ def theory_from_json(data) -> Theory:
 
 
 def load_theory(path: str) -> Theory:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON in {path}: {exc}") from None
-    return theory_from_json(data)
+    return theory_from_json(load_json(path))
 
 
 def infer_signature(sentences: Iterable[Sentence]) -> Signature:

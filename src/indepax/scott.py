@@ -322,6 +322,10 @@ def canonical_invariant(M: Structure) -> str:
 # ---------------------------------------------------------------------------
 
 DEFAULT_MATERIALIZE_CAP = 4
+# Building a Scott sentence peaks at about 1.6 KB of heap per atom of its
+# longest tuples' literals (R/16 at size 1: 65,537 atoms, 105 MB), so the
+# cap keeps one under about 160 MB.
+MAX_LITERAL_ATOMS = 100_000
 
 
 class _Materializer:
@@ -402,7 +406,11 @@ def type_formula(M: Structure, tup: Sequence[int], alpha: int,
                  cap: int = DEFAULT_MATERIALIZE_CAP) -> Sentence:
     """The formula of the level-alpha type of a tuple in M, with free
     variables x0..x(len-1).  The empty tuple at a high enough level is the
-    Scott sentence."""
+    Scott sentence.
+
+    Raises MaterializationRefusedError, before building anything, when M
+    is larger than ``cap`` or the literals of the longest tuples the
+    formula reaches take more than ``MAX_LITERAL_ATOMS`` atoms."""
     if M.size > cap:
         raise MaterializationRefusedError(
             f"size {M.size} exceeds materialization cap {cap}; "
@@ -410,6 +418,15 @@ def type_formula(M: Structure, tup: Sequence[int], alpha: int,
     tup = tuple(tup)
     if any(not (0 <= v < M.size) for v in tup):
         raise PreconditionError(f"tuple {tup} out of range")
+    # levels above 0 extend tuples up to one past the structure size; a
+    # relation of arity a has k**a atoms over k-tuples, and past 64 the
+    # arity cannot bring that under the cap unless k is 1
+    k = max(len(tup), M.size + 1) if alpha else len(tup)
+    atoms = sum(k ** min(arity, 64) for _name, arity in M.signature.relations)
+    if atoms > MAX_LITERAL_ATOMS:
+        raise MaterializationRefusedError(
+            f"the literals of {k}-tuples take {atoms} atoms, over cap "
+            f"{MAX_LITERAL_ATOMS}")
     return _materializer(M).formula(tup, alpha)
 
 

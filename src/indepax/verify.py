@@ -1,10 +1,13 @@
-"""Independent brute-force oracles.
+"""Brute-force oracles and bounded-space checks.
 
-Nothing here shares code with the implementations it certifies: the type
-oracle is a direct memoized recursion (no partition refinement, no kernel),
-and the isomorphism oracle is plain permutation search (no canonical
-forms).  Passing verdicts certify bounded-space claims only; every report
-carries its bound.
+The type oracle and the isomorphism oracle share no code with the
+implementations they certify: the type oracle is a direct memoized
+recursion (no partition refinement, no kernel), and the isomorphism oracle
+is plain permutation search (no canonical forms).  The independence and
+equivalence checks do share code: they read ``ModelSpace.satset``, the
+cache that ``scott.space_scott_sentence`` seeds with ``1 << i`` for the
+Scott sentence of class i instead of evaluating it.  Passing verdicts
+certify bounded-space claims only; every report carries its bound.
 """
 
 from __future__ import annotations

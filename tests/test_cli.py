@@ -288,6 +288,19 @@ class TestErrorPaths:
         assert message in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_oversized_literals_exit_1(self, tmp_path):
+        # the Scott sentence of one element would read 2**20 atoms over
+        # the pairs of its universal block
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "signature": [{"name": "R", "arity": 20}], "size": 1,
+            "relations": {"R": [[0] * 20]}}))
+        r = run_cli("scott", str(path), max_bytes=1 << 30)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: the literals of 2-tuples take "
+                                   "1048576 atoms, over cap 100000")
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("command,data", [
         (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2,
                       "relations": [[0, 1]]}),

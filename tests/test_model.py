@@ -2,17 +2,41 @@ import hashlib
 import itertools
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indepax import model
+from indepax import model, scott
 from indepax.errors import (EnumerationOverflowError, MalformedSentenceError,
                             ParseError, PreconditionError)
 from indepax.model import (And, Atom, Eq, Exists, Forall, Not, Or, Signature,
                            Structure, Theory, enumerate_models, entails,
                            infer_signature, models_of, parse_sentence,
                            preprocess, to_sexpr)
+
+
+# the message and the position of the error in each malformed text
+PARSE_ERRORS = {
+    "(exists x (atom P x": ("unclosed '('", 18),
+    "(foo x)": ("unknown operator 'foo'", 1),
+    "atom": ("expected '('", 0),
+    "(not (atom P x) (atom P x))": ("not takes one argument", 1),
+    "(eq x)": ("eq takes two variables", 1),
+    "()": ("empty expression", 0),
+    "(and (atom P x)) trailing": ("trailing input after sentence", 17),
+    "(exists x (atom P))": ("atom P needs at least one argument", 11),
+    ")": ("unmatched ')'", 0),
+    "": ("unexpected end of input", None),
+    "((atom P x))": ("operator must be a symbol", 0),
+    "(exists (atom P x) (atom P x))": ("expected variable", 8),
+    "(atom (atom P x) y)": ("expected relation name", 6),
+    "(atom P (eq x y))": ("expected variable", 8),
+    "(not x)": ("expected a subexpression, got 'x'", 5),
+    "(and (atom P x)) )": ("trailing input after sentence", 17),
+    "(foo (bar": ("unclosed '('", 6),
+    "(" * 401: ("expression too deeply nested", 400),
+}
 
 
 @pytest.fixture
@@ -68,20 +92,29 @@ class TestAst:
             assert parse_sentence(to_sexpr(s)) is s
 
     @pytest.mark.parametrize("bad, pos_known", [
-        ("(exists x (atom P x", True),
-        ("(foo x)", True),
-        ("atom", True),
-        ("(not (atom P x) (atom P x))", True),
-        ("(eq x)", True),
-        ("()", True),
-        ("(and (atom P x)) trailing", True),
-        ("(exists x (atom P))", True),
-    ])
+        (bad, position is not None)
+        for bad, (_message, position) in PARSE_ERRORS.items()])
     def test_parse_errors(self, bad, pos_known):
+        message, position = PARSE_ERRORS[bad]
         with pytest.raises(ParseError) as exc:
             parse_sentence(bad)
-        if pos_known:
-            assert exc.value.position is not None
+        assert exc.value.position == position
+        suffix = f" (at position {position})" if pos_known else ""
+        assert str(exc.value) == message + suffix
+
+    def test_parse_memory_follows_distinct_nodes(self, cycle3):
+        # the 3-cycle's Scott sentence prints as 299,032 characters; with
+        # its nodes interned, reading the text back holds only the open
+        # frames
+        s = scott.scott_sentence(cycle3)
+        text = to_sexpr(s)
+        tracemalloc.start()
+        try:
+            assert parse_sentence(text) is s
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestHashes:

@@ -331,6 +331,19 @@ class TestScottSentence:
             scott.scott_sentence(M)
         scott.scott_sentence(M, cap=5)  # raising the cap works
 
+    def test_literal_cap_is_inclusive(self, monkeypatch):
+        # one ternary relation on one element: 2**3 atoms over the pairs
+        # that the universal block reaches, 1 over the 1-tuples
+        M = Structure.make(Signature((("T", 3),)), 1, {"T": [(0, 0, 0)]})
+        monkeypatch.setattr(scott, "MAX_LITERAL_ATOMS", 8)
+        scott.scott_sentence(M)
+        monkeypatch.setattr(scott, "MAX_LITERAL_ATOMS", 7)
+        with pytest.raises(MaterializationRefusedError,
+                           match="the literals of 2-tuples take 8 atoms"):
+            scott.scott_sentence(M)
+        # level 0 reaches only the tuple itself
+        scott.type_formula(M, (0,), 0)
+
     def test_space_sentence_needs_non_isomorphic_representatives(self, sig):
         # the seeded satset 1 << i is only sound when no two
         # representatives are isomorphic; a hand-built space is refused
