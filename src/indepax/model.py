@@ -760,10 +760,13 @@ def enumerate_models(signature: Signature, max_size: int,
         raise EnumerationOverflowError("max_size must be >= 1")
     reps: list[Structure] = []
     for n in range(1, max_size + 1):
-        total = 1
+        cells = 0  # log2 of the labeled structures of size n
         for _name, arity in signature.relations:
-            total *= 2 ** (n ** arity)
-            if total > MAX_LABELED_STRUCTURES:
+            # past 64 the arity cannot keep n**arity small unless n is 1,
+            # and the power itself could be huge
+            cells += n ** min(arity, 64)
+            if cells >= MAX_LABELED_STRUCTURES.bit_length():
+                total = 2 ** cells if cells <= 64 else f"2**{cells}"
                 raise EnumerationOverflowError(
                     f"{total}+ labeled structures of size {n} exceeds cap "
                     f"{MAX_LABELED_STRUCTURES}")

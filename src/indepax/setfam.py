@@ -16,6 +16,19 @@ from .errors import NotApplicableError, ParseError, PreconditionError, \
 from .model import ModelSpace, Theory
 
 
+#: largest universe a ``SetFamily`` may have: a set takes one bit per
+#: element, so a mask stays under 2 MiB
+MAX_UNIVERSE = 1 << 24
+
+
+def _check_universe(universe_size: int) -> None:
+    if universe_size < 1:
+        raise ParseError("universe size must be >= 1")
+    if universe_size > MAX_UNIVERSE:
+        raise PreconditionError(f"universe of {universe_size} elements "
+                                f"exceeds cap {MAX_UNIVERSE}")
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Indexed subsets of 0..universe_size-1, stored as bit masks."""
@@ -25,8 +38,7 @@ class SetFamily:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.universe_size < 1:
-            raise ParseError("universe size must be >= 1")
+        _check_universe(self.universe_size)
         if any(s >> self.universe_size for s in self.sets):
             raise ParseError("set element out of universe range")
         if not self.labels:
@@ -45,6 +57,7 @@ class SetFamily:
     @staticmethod
     def from_lists(universe_size: int, sets: Iterable[Iterable[int]],
                    labels: Optional[Iterable[str]] = None) -> "SetFamily":
+        _check_universe(universe_size)  # before any mask is built
         masks = []
         for elems in sets:
             m = 0

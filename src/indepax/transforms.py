@@ -268,26 +268,17 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
     At each split, some formula held by part of the active types is paired
     with a formula shared by all remaining ones that is jointly
     unsatisfiable with it over the space; if no such pair exists the types
-    are not separable in this representation.  Formula sets are sorted by
-    their s-expressions, each serialized at most once per call.
+    are not separable in this representation.  Formula sets keep the order
+    in which their formulas first occur in the input, and candidates are
+    tried in that order: formulas are interned, so that order is as
+    deterministic as the input and no formula is serialized.
     """
-    texts: dict[int, str] = {}
-
-    def text(f: Sentence) -> str:
-        t = texts.get(id(f))
-        if t is None:
-            t = texts[id(f)] = to_sexpr(f)
-        return t
-
-    def canon_formulas(formulas: Iterable[Sentence]) -> tuple[Sentence, ...]:
-        return tuple(sorted(set(formulas), key=text))
-
-    entries = [(tid, canon_formulas(fs)) for tid, fs in types]
+    entries = [(tid, tuple(dict.fromkeys(fs))) for tid, fs in types]
     if not entries:
         raise PreconditionError("no types given")
     seen_sets = set()
     for _tid, fs in entries:
-        key = tuple(map(id, fs))
+        key = frozenset(fs)
         if key in seen_sets:
             raise DuplicateTypeError("duplicate types in input")
         seen_sets.add(key)
@@ -320,40 +311,35 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
         ef, eg = elems(f), elems(g)
         return all((a & b) == 0 for a, b in zip(ef, eg))
 
-    nodes: dict[str, tuple[Sentence, ...]] = {}
+    nodes: dict[str, tuple[Sentence, ...]] = {"": ()}
     leaves: dict[str, TypeId] = {}
 
-    def split(u: str, active: list[int], acc: frozenset) -> None:
+    def split(u: str, active: list[int], acc: tuple[Sentence, ...]) -> None:
         if len(active) == 1:
             tid, fs = entries[active[0]]
             nodes[u] = fs
             leaves[u] = tid
             return
-        pool = canon_formulas(f for k in active for f in entries[k][1])
+        pool = dict.fromkeys(f for k in active for f in entries[k][1])
         for f in pool:
             left = [k for k in active if f in entries[k][1]]
-            if not left or len(left) == len(active):
+            if len(left) == len(active):
                 continue
             rest = [k for k in active if k not in left]
-            common = set(entries[rest[0]][1])
-            for k in rest[1:]:
-                common &= set(entries[k][1])
-            for g in canon_formulas(common):
+            common = [g for g in entries[rest[0]][1]
+                      if all(g in entries[k][1] for k in rest[1:])]
+            for g in common:
                 if incompatible(f, g):
-                    nodes[u + "0"] = canon_formulas(acc | {f})
-                    nodes[u + "1"] = canon_formulas(acc | {g})
-                    split(u + "0", left, acc | {f})
-                    split(u + "1", rest, acc | {g})
+                    nodes[u + "0"] = acc + (f,)
+                    nodes[u + "1"] = acc + (g,)
+                    split(u + "0", left, acc + (f,))
+                    split(u + "1", rest, acc + (g,))
                     return
         raise SeparationFailureError(
             f"no separating formula pair for types {active} over the space")
 
-    if len(entries) == 1:
-        nodes[""] = ()
-        split("0", [0], frozenset())
-    else:
-        nodes[""] = ()
-        split("", list(range(len(entries))), frozenset())
+    # a lone type still hangs below the root, as leaf "0"
+    split("0" if len(entries) == 1 else "", list(range(len(entries))), ())
     return SeparatingTree(nodes, leaves, var)
 
 

@@ -301,6 +301,39 @@ class TestErrorPaths:
                                    "1048576 atoms, over cap 100000")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("arity,total", [
+        # 2**(2**14) has more digits than int formatting allows
+        (14, "2**16384+"),
+        # 2**(2**64) labeled structures would be built as one power
+        (64, "2**18446744073709551616+"),
+    ])
+    def test_wide_atom_enumeration_exits_1(self, tmp_path, arity, total):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            [f"(exists x (atom R {' '.join(['x'] * arity)}))"]))
+        r = run_cli("analyze", str(path), "--max-size", "2",
+                    max_bytes=1 << 30)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith(f"error: {total} labeled structures of "
+                                   "size 2 exceeds cap 2000000")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("mode,sets", [
+        ("--check", [[0], [0, 1]]),
+        ("--independize", [[0], [0, 1]]),
+        # from_lists would build 1 << e for this element
+        ("--check", [[10 ** 12 - 1]]),
+    ])
+    def test_oversized_universe_exits_1(self, tmp_path, mode, sets):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"universe": 10 ** 12, "sets": sets}))
+        r = run_cli("setfam", mode, str(path), "--out", str(tmp_path),
+                    max_bytes=1 << 30)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: universe of 1000000000000 "
+                                   "elements exceeds cap 16777216")
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("command,data", [
         (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2,
                       "relations": [[0, 1]]}),

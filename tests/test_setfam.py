@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indepax import setfam
 from indepax.errors import (NotApplicableError, ParseError, PreconditionError)
 from indepax.setfam import (SetFamily, case1_transform, case2_transform,
                             families_equivalent, family_from_json,
@@ -214,3 +215,11 @@ class TestJsonFormat:
     def test_out_of_range(self):
         with pytest.raises(ParseError):
             family_from_json({"universe": 2, "sets": [[5]]})
+
+    def test_universe_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(setfam, "MAX_UNIVERSE", 8)
+        assert SetFamily.from_lists(8, [[7]]).sets == (1 << 7,)
+        with pytest.raises(PreconditionError):
+            family_from_json({"universe": 9, "sets": [[8]]})
+        with pytest.raises(PreconditionError):
+            SetFamily(9, ())

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -248,23 +251,67 @@ class TestSeparatingTree:
                     union |= set(tree.nodes[u])
             assert union == by_id[tid]
 
-    def test_each_formula_serialized_at_most_once(self, ub_space, monkeypatch):
+    def test_search_serializes_no_formula(self, ub_space, monkeypatch):
         types = generators.random_type_instance(random.Random(5), ub_space, 4)
-        serialized = []
-        real = transforms.to_sexpr
 
-        def counting(f):
-            serialized.append(id(f))
-            return real(f)
+        def refuse(f):
+            raise AssertionError("the tree search serialized a formula")
 
-        monkeypatch.setattr(transforms, "to_sexpr", counting)
+        monkeypatch.setattr(transforms, "to_sexpr", refuse)
+        monkeypatch.setattr(model, "to_sexpr", refuse)
         tree = build_separating_tree(types, ub_space)
-        distinct = {id(f) for _tid, fs in types for f in fs}
-        assert len(serialized) == len(set(serialized))
-        assert set(serialized) <= distinct
-        for fs in tree.nodes.values():
-            texts = [real(f) for f in fs]
-            assert all(a < b for a, b in zip(texts, texts[1:]))
+        by_id = {tid: tuple(dict.fromkeys(fs)) for tid, fs in types}
+        inner = 0
+        for u, label in tree.nodes.items():
+            if not u:
+                continue
+            parent = tree.nodes[u[:-1]]
+            if u in tree.leaves:
+                assert label == by_id[tree.leaves[u]]
+                assert set(parent) <= set(label)
+            else:
+                # a split extends its parent's label by one new formula
+                assert label[:-1] == parent and label[-1] not in parent
+                inner += 1
+        assert inner
+
+    def test_trees_repeat_across_hash_seeds(self):
+        # the same seeded instances over the 792-class space of ub_space,
+        # built in two processes whose str hashes differ
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(transforms.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        runs = []
+        for hash_seed in ("0", "1"):
+            env["PYTHONHASHSEED"] = hash_seed
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", TREE_SCRIPT], env=dict(env),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        (out0, err0), (out1, err1) = (r.communicate() for r in runs)
+        assert runs[0].returncode == 0, err0
+        assert runs[1].returncode == 0, err1
+        assert out0 == out1
+        assert out0.count("phi*") == 3
+
+
+# phi* and every node label of three seeded trees, as digests of their
+# s-expressions (phi* of the 4-type tree is 8 MB of text)
+TREE_SCRIPT = """
+import hashlib, random
+from indepax import generators, model, transforms
+
+def digest(f):
+    return hashlib.sha256(model.to_sexpr(f).encode()).hexdigest()
+
+space = model.enumerate_models(model.Signature((("P", 1), ("R", 2))), 3)
+for seed in range(3):
+    types = generators.random_type_instance(random.Random(seed), space,
+                                            2 + seed)
+    tree = transforms.build_separating_tree(types, space)
+    print("phi*", digest(transforms.phi_star(tree)))
+    for u, fs in tree.nodes.items():
+        print(repr(u), *map(digest, fs))
+"""
 
 
 class TestPhiStar:
