@@ -329,77 +329,84 @@ MAX_LITERAL_ATOMS = 100_000
 
 
 class _Materializer:
-    """Builds the level-indexed type formulas of one structure, shared via
-    hash-consing; free variables are x0..x(k-1) for a length-k tuple."""
+    """The type formulas of one structure, hash-consed, with free variables
+    x0..x(k-1) for a k-tuple.  ``rows[alpha, k]`` lists the level-alpha
+    formulas of all k-tuples in product order, built when first reached, so
+    the extensions of the k-tuple of rank r by ell elements are the slice
+    r*n**ell .. (r+1)*n**ell of length k+ell; rows past length n are level 0."""
 
     def __init__(self, M: Structure):
         self.M = M
-        self.n_max = M.size
-        self.memo: dict[tuple[tuple[int, ...], int], Sentence] = {}
+        self.rows: dict[tuple[int, int], list[Sentence]] = {}
 
-    @staticmethod
-    def var(i: int) -> str:
-        return f"x{i}"
+    def row(self, alpha: int, k: int) -> list[Sentence]:
+        M, n = self.M, self.M.size
+        key = (alpha if k <= n else 0, k)
+        if key not in self.rows:
+            if key[0]:
+                self.rows[key] = [self.node(alpha, k, r) for r in range(n ** k)]
+            else:
+                # past the partition's cap on index tables (wide
+                # relations), the (n+1)-tuples are read one by one
+                codes = _atomic_codes(M, k) if k <= n or all(
+                    (n ** k + a) * k ** a <= MAX_FACT_TABLE_ENTRIES
+                    for _name, a in M.signature.relations) else map(
+                        _tuple_code, itertools.repeat(M),
+                        itertools.product(range(n), repeat=k))
+                self.rows[key] = [_atomic(M.signature, c) for c in codes]
+        return self.rows[key]
 
-    def atomic(self, tup: tuple[int, ...]) -> Sentence:
-        eqs, atoms = _literals(self.M.signature, len(tup))
-        conj = [pos if tup[i] == tup[j] else neg for i, j, pos, neg in eqs]
-        tables = self.M.tables
-        conj += [pos if tuple(tup[i] for i in combo) in tables[r] else neg
-                 for r, combo, pos, neg in atoms]
-        return And(conj)
+    def node(self, alpha: int, k: int, r: int) -> Sentence:
+        """The level-alpha formula (alpha >= 1) of the k-tuple (k <= n) of
+        rank r: the previous level, then the extension blocks."""
+        n = self.M.size
+        exists, forall = [], []
+        for ell in range(1, n + 2 - k):
+            yvars = [f"x{i}" for i in range(k, k + ell)]
+            block = self.row(alpha - 1, k + ell)[r * n ** ell:(r + 1) * n ** ell]
+            if k + ell <= n:
+                exists += [exists_block(yvars, f) for f in dict.fromkeys(block)]
+            forall.append(forall_block(yvars, Or(block)))
+        return And([self.row(alpha - 1, k)[r], *exists, *forall])
 
-    def formula(self, tup: tuple[int, ...], alpha: int) -> Sentence:
-        key = (tup, alpha)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if alpha == 0:
-            res = self.atomic(tup)
-        else:
-            n_max, size = self.n_max, self.M.size
-            k = len(tup)
-            conj: list[Sentence] = [self.formula(tup, alpha - 1)]
-            for ell in range(1, n_max - k + 1):
-                yvars = [self.var(k + j) for j in range(ell)]
-                seen: set[int] = set()
-                for ext in itertools.product(range(size), repeat=ell):
-                    f = self.formula(tup + ext, alpha - 1)
-                    if id(f) not in seen:
-                        seen.add(id(f))
-                        conj.append(exists_block(yvars, f))
-            for ell in range(1, n_max + 2 - k):
-                yvars = [self.var(k + j) for j in range(ell)]
-                disj = [self.formula(tup + ext, alpha - 1)
-                        for ext in itertools.product(range(size), repeat=ell)]
-                conj.append(forall_block(yvars, Or(disj)))
-            res = And(conj)
-        self.memo[key] = res
-        return res
+
+def _tuple_code(M: Structure, tup: tuple[int, ...]) -> tuple:
+    """The atomic type of one tuple of M, as ``_atomic_codes`` gives it."""
+    facts = []
+    for (_name, arity), mask in zip(M.signature.relations, M.masks):
+        cells = [0]  # bit indices of the position combinations, in order
+        for _ in range(arity):
+            cells = [c * M.size + v for c in cells for v in tup]
+        facts.append(int("0" + "".join([str(mask >> c & 1) for c in cells]), 2))
+    return len(tup), tuple(map(tup.index, tup)), tuple(facts)
 
 
 @lru_cache(maxsize=64)
 def _literals(signature: Signature, k: int) -> tuple[tuple, tuple]:
     """The literals of atomic types of k-tuples, each with its negation:
-    ``(i, j, x_i = x_j, not)`` for i < j, then ``(relation index,
-    positions, atom, not atom)`` per relation and position combination."""
-    var = _Materializer.var
-    eqs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            e = Eq(var(i), var(j))
-            eqs.append((i, j, e, Not(e)))
-    atoms = []
-    for r, (name, arity) in enumerate(signature.relations):
-        for combo in itertools.product(range(k), repeat=arity):
-            at = Atom(name, tuple(var(i) for i in combo))
-            atoms.append((r, combo, at, Not(at)))
+    ``(i, j, x_i = x_j, not)`` for i < j, then ``(atom, not atom)`` per
+    relation and position combination, in product order."""
+    eqs = [(i, j, Eq(f"x{i}", f"x{j}"), Not(Eq(f"x{i}", f"x{j}")))
+           for i, j in itertools.combinations(range(k), 2)]
+    atoms = [(at, Not(at)) for name, arity in signature.relations
+             for at in (Atom(name, tuple(f"x{i}" for i in combo)) for combo
+                        in itertools.product(range(k), repeat=arity))]
     return tuple(eqs), tuple(atoms)
 
 
-@lru_cache(maxsize=128)
-def _materializer(M: Structure) -> _Materializer:
-    return _Materializer(M)
+@lru_cache(maxsize=4096)
+def _atomic(signature: Signature, code: tuple) -> Sentence:
+    """The conjunction of the literals that an atomic code says hold; its
+    fact bits, first combination highest, run in the order of the atoms."""
+    k, pat, facts = code
+    eqs, atoms = _literals(signature, k)
+    conj = [pos if pat[i] == pat[j] else neg for i, j, pos, neg in eqs]
+    bits = "".join([format(f | 1 << k ** arity, "b")[1:]
+                    for f, (_name, arity) in zip(facts, signature.relations)])
+    return And(conj + [p if b == "1" else q for b, (p, q) in zip(bits, atoms)])
+
+
+_materializer = lru_cache(maxsize=128)(_Materializer)
 
 
 def type_formula(M: Structure, tup: Sequence[int], alpha: int,
@@ -427,7 +434,16 @@ def type_formula(M: Structure, tup: Sequence[int], alpha: int,
         raise MaterializationRefusedError(
             f"the literals of {k}-tuples take {atoms} atoms, over cap "
             f"{MAX_LITERAL_ATOMS}")
-    return _materializer(M).formula(tup, alpha)
+    return _formula(M, tup, alpha)
+
+
+@lru_cache(maxsize=4096)
+def _formula(M: Structure, tup: tuple[int, ...], alpha: int) -> Sentence:
+    """What ``type_formula`` returns; kept, as no row holds the node."""
+    if alpha == 0 or len(tup) > M.size:
+        return _atomic(M.signature, _tuple_code(M, tup))
+    rank = sum(v * M.size ** i for i, v in enumerate(reversed(tup)))
+    return _materializer(M).node(alpha, len(tup), rank)
 
 
 def scott_sentence(M: Structure, cap: int = DEFAULT_MATERIALIZE_CAP) -> Sentence:

@@ -8,6 +8,7 @@ order-sensitive).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -72,7 +73,9 @@ class SetFamily:
                          tuple(labels) if labels else ())
 
     def to_lists(self) -> list[list[int]]:
-        return [[e for e in range(self.universe_size) if (s >> e) & 1]
+        """The elements of each set, ascending: the positions of the ones
+        in the set's binary string, lowest bit first, found at C speed."""
+        return [[m.start() for m in re.finditer("1", format(s, "b")[::-1])]
                 for s in self.sets]
 
     def intersection(self) -> int:

@@ -9,9 +9,10 @@ import pytest
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def run_cli(*args, hash_seed="0", max_bytes=None):
+def run_cli(*args, hash_seed="0", max_bytes=None, timeout=None):
     """Run the CLI in a child process; ``max_bytes`` caps its address
-    space, so an input it cannot hold fails fast instead of swapping."""
+    space, so an input it cannot hold fails fast instead of swapping, and
+    ``timeout`` (seconds) bounds its run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = hash_seed
@@ -21,7 +22,7 @@ def run_cli(*args, hash_seed="0", max_bytes=None):
             resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run([sys.executable, "-m", "indepax.cli", *args],
                           capture_output=True, text=True, env=env,
-                          preexec_fn=limit)
+                          preexec_fn=limit, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +334,20 @@ class TestErrorPaths:
         assert r.stderr.startswith("error: universe of 1000000000000 "
                                    "elements exceeds cap 16777216")
         assert "Traceback" not in r.stderr
+
+    def test_high_elements_of_largest_universe_are_written(self, tmp_path):
+        # listing a set reads its bits at C speed; testing every element
+        # with a shift of the wide mask would take hours here
+        path = tmp_path / "family.json"
+        top = (1 << 24) - 1
+        path.write_text(json.dumps({"universe": 1 << 24,
+                                    "sets": [[top], [top - 1, top]]}))
+        r = run_cli("setfam", "--independize", str(path), "--out",
+                    str(tmp_path), max_bytes=1 << 30, timeout=60)
+        assert r.returncode == 0, r.stderr
+        report = json.loads((tmp_path / "setfam.json").read_text())
+        assert report["input"]["sets"] == [[top], [top - 1, top]]
+        assert report["output"]["sets"] == [[top]]
 
     @pytest.mark.parametrize("command,data", [
         (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2,

@@ -1,7 +1,11 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -160,6 +164,80 @@ def reference_partition(structures):
         if len(set(new)) == len(set(cur)):
             return items, levels, len(levels) - 1
         levels.append(new)
+
+
+def reference_type_formulas(M):
+    """Level-alpha type formula of a tuple of M by top-down recursion over
+    its one-element extensions, memoised per (tuple, level), with literals
+    decided by set membership in ``M.tables``."""
+    n = M.size
+    memo = {}
+    var = "x{}".format
+
+    def atomic(tup):
+        k = len(tup)
+        conj = []
+        for i, j in itertools.combinations(range(k), 2):
+            e = model.Eq(var(i), var(j))
+            conj.append(e if tup[i] == tup[j] else model.Not(e))
+        for (name, arity), table in zip(M.signature.relations, M.tables):
+            for combo in itertools.product(range(k), repeat=arity):
+                at = model.Atom(name, [var(i) for i in combo])
+                holds = tuple(tup[i] for i in combo) in table
+                conj.append(at if holds else model.Not(at))
+        return model.And(conj)
+
+    def formula(tup, alpha):
+        key = (tup, alpha)
+        if key not in memo:
+            if alpha == 0:
+                memo[key] = atomic(tup)
+            else:
+                k = len(tup)
+                conj = [formula(tup, alpha - 1)]
+                for ell in range(1, n - k + 1):
+                    yvars = [var(k + j) for j in range(ell)]
+                    seen = set()
+                    for ext in itertools.product(range(n), repeat=ell):
+                        f = formula(tup + ext, alpha - 1)
+                        if id(f) not in seen:
+                            seen.add(id(f))
+                            conj.append(model.exists_block(yvars, f))
+                for ell in range(1, n + 2 - k):
+                    yvars = [var(k + j) for j in range(ell)]
+                    conj.append(model.forall_block(yvars, model.Or(
+                        [formula(tup + ext, alpha - 1) for ext in
+                         itertools.product(range(n), repeat=ell)])))
+                memo[key] = model.And(conj)
+        return memo[key]
+
+    return formula
+
+
+def dag_digest(formulas):
+    """sha256 over the formulas' s-expressions in which every subformula is
+    written as the sha256 of its own such text.  Equal digests mean equal
+    ``to_sexpr`` texts, but each shared node is hashed once: the texts of
+    large type formulas run to megabytes."""
+    memo = {}
+
+    def digest(f):
+        d = memo.get(f)
+        if d is None:
+            if isinstance(f, (model.Atom, model.Eq)):
+                text = model.to_sexpr(f)
+            elif isinstance(f, model.Not):
+                text = f"(not {digest(f.child)})"
+            elif isinstance(f, (model.And, model.Or)):
+                tag = "and" if isinstance(f, model.And) else "or"
+                text = "(" + " ".join([tag, *map(digest, f.children)]) + ")"
+            else:
+                tag = "exists" if isinstance(f, model.Exists) else "forall"
+                text = f"({tag} {f.var} {digest(f.child)})"
+            d = memo[f] = hashlib.sha256(text.encode()).hexdigest()
+        return d
+
+    return hashlib.sha256("\n".join(map(digest, formulas)).encode()).hexdigest()
 
 
 SIGNATURES = {
@@ -343,6 +421,63 @@ class TestScottSentence:
             scott.scott_sentence(M)
         # level 0 reaches only the tuple itself
         scott.type_formula(M, (0,), 0)
+
+    def test_literal_cap_bounds_a_level_zero_build(self):
+        # level 0 reads only the tuple's own length: one atom here, where
+        # the pairs that a higher level reaches would take 2**20
+        code = ("from indepax import model, scott\n"
+                "M = model.Structure.make(model.Signature((('R', 20),)), 1,"
+                " {'R': [(0,) * 20]})\n"
+                "print(model.to_sexpr(scott.type_formula(M, (0,), 0)))")
+        src = os.path.dirname(os.path.dirname(scott.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, preexec_fn=limit, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "(atom R " + " ".join(["x0"] * 20) + ")\n"
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_matches_top_down_reference(self, arity):
+        # every reached row is built level by level in product order; the
+        # nodes must be the very ones the per-tuple recursion interns
+        sig = Signature((("P", 1), ("T", arity)))
+        rng = random.Random(f"materialize-{arity}")
+        for n in (1, 2, 3, 4):
+            M = random_structure(rng, sig, n)
+            ref = reference_type_formulas(M)
+            for alpha, k in itertools.product(range(5), range(n + 3)):
+                for _ in range(2 if k else 1):
+                    tup = tuple(rng.randrange(n) for _ in range(k))
+                    assert scott.type_formula(M, tup, alpha) is ref(tup, alpha)
+
+    def test_wide_rows_read_one_tuple_at_a_time(self, monkeypatch):
+        # past the cap on index tables the (n+1)-tuples' codes are read
+        # tuple by tuple; the formulas must be the same nodes
+        rng = random.Random("one-by-one")
+        structs = [random_structure(rng, SIGNATURES["ternary"], n)
+                   for n in (1, 2, 3)]
+        want = [scott.type_formula(M, (), 3) for M in structs]
+        scott._formula.cache_clear()
+        scott._materializer.cache_clear()
+        monkeypatch.setattr(scott, "MAX_FACT_TABLE_ENTRIES", 0)
+        got = [scott.type_formula(M, (), 3) for M in structs]
+        assert all(g is w for g, w in zip(got, want))
+
+    def test_formulas_of_fuzz_space_are_pinned(self, ub_space):
+        # every 12th class of the 792-class P/1 + R/2 space: its Scott
+        # sentence and its elements' types at levels 0-3, as the per-tuple
+        # recursion built them
+        formulas = []
+        for M in ub_space.representatives[::12]:
+            formulas.append(scott.scott_sentence(M))
+            formulas += [scott.type_formula(M, (e,), a)
+                         for e in range(M.size) for a in range(4)]
+        assert len(formulas) == 838
+        assert dag_digest(formulas) == (
+            "71d46a1ef2ea5e1b9596e7fbc9e55c0e9dc5b2034a9294082c69e37227cad958")
 
     def test_space_sentence_needs_non_isomorphic_representatives(self, sig):
         # the seeded satset 1 << i is only sound when no two

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +217,15 @@ class TestJsonFormat:
     def test_out_of_range(self):
         with pytest.raises(ParseError):
             family_from_json({"universe": 2, "sets": [[5]]})
+
+    def test_lists_match_element_by_element_reading(self):
+        rng = random.Random(3)
+        for universe in (1, 2, 7, 8, 9, 63, 64, 65, 200):
+            sets = tuple(rng.getrandbits(universe) for _ in range(4))
+            sets += (0, (1 << universe) - 1, 1 << (universe - 1))
+            F = SetFamily(universe, sets)
+            assert F.to_lists() == [
+                [e for e in range(universe) if (s >> e) & 1] for s in sets]
 
     def test_universe_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(setfam, "MAX_UNIVERSE", 8)
