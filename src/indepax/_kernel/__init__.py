@@ -11,11 +11,12 @@ constructors of ``pure`` (``atom``, ``eq``, ``not_``, ``and_``, ``or_``,
 ``run(env, (size, masks, memo))`` with a fresh environment and memo, so one
 program can be evaluated from several threads at once.
 
-``active.refine_levels(first, width, init_labels)`` takes each item's
-one-element extensions as one contiguous block: the ``width[i]`` items from
-index ``first[i]`` on (width 0 at the tuple-length cap).  It returns
-``(levels, stable)``: one ``array('i')`` of labels per level, and the first
-level whose refinement is itself.
+``active.refine_levels(sizes, n_max, init_labels)`` takes each structure's
+tuples of length 0..n_max in heap order (by length, each length in product
+order), so the one-element extensions of a size-n structure's local item i
+are its items n*i+1 .. n*i+n, and items at the length cap have none.  It
+returns ``(levels, stable)``: one ``array('i')`` of labels per level, and
+the first level whose refinement is itself.
 """
 
 from . import pure

@@ -176,18 +176,26 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
     return bool(prog.run(env, (size, masks, {})))
 
 
-def refine_levels(first: list[int], width: list[int], init_labels: list[int]):
+def refine_levels(sizes: list[int], n_max: int, init_labels: list[int]):
     """Iterate one-step signature refinement until the partition repeats.
 
-    The one-element extensions of item i are the ``width[i]`` consecutive
-    items from index ``first[i]`` on (width 0 for items at the tuple-length
-    cap).  An item's signature is its label followed by the sorted distinct
-    labels of its extensions, one flat tuple.  Labels are dense, assigned in
-    first-occurrence order, so the result is deterministic.  Returns
-    (levels, stable) with levels[k] the labels at level k as an
-    ``array('i')`` and ``stable`` the first level whose refinement is
-    itself.
+    Items are the tuples of length 0..n_max of each structure, in ``sizes``
+    order, by length, each length block in product order: the heap order of
+    a size-n structure's n-ary tuple tree.  So the one-element extensions of
+    its local item i are its items n*i+1 .. n*i+n, and its last n**n_max
+    items, at the length cap, have none.  An item's signature is its label
+    followed by the sorted distinct labels of its extensions, one flat
+    tuple.  Labels are dense, assigned in first-occurrence order, so the
+    result is deterministic.  Returns (levels, stable) with levels[k] the
+    labels at level k as an ``array('i')`` and ``stable`` the first level
+    whose refinement is itself.
     """
+    # per structure: its first item, its first item at the cap, its end
+    spans, base = [], 0
+    for n in sizes:
+        cap = base + sum(n ** k for k in range(n_max))
+        spans.append((n, base, cap, cap + n ** n_max))
+        base = cap + n ** n_max
     # the level being refined stays a list: an array boxes an int per read
     cur = list(init_labels)
     levels = []
@@ -195,10 +203,13 @@ def refine_levels(first: list[int], width: list[int], init_labels: list[int]):
     while True:
         levels.append(array("i", cur))
         sig2new: dict[tuple, int] = {}
-        # most items sit at the length cap, with no extensions to sort
-        new = [sig2new.setdefault((lab, *sorted(set(cur[f:f + w])))
-                                  if w else (lab,), len(sig2new))
-               for lab, f, w in zip(cur, first, width)]
+        new: list[int] = []
+        for n, base, cap, end in spans:
+            new += [sig2new.setdefault((lab, *sorted(set(cur[f:f + n]))),
+                                       len(sig2new))
+                    for lab, f in zip(cur[base:cap], range(base + 1, end, n))]
+            new += [sig2new.setdefault((lab,), len(sig2new))
+                    for lab in cur[cap:end]]
         # refinement only ever splits classes, so an unchanged count means
         # an identical partition
         if len(sig2new) == nclasses:

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scott", parents=[output],
                         help="Scott height, invariant, and sentence")
     sp.add_argument("structure", help="structure JSON file")
-    sp.add_argument("--cap-materialize", type=int,
+    sp.add_argument("--cap-materialize", type=_positive_int,
                     default=scott.DEFAULT_MATERIALIZE_CAP,
                     help="size cap for Scott sentence materialization")
     sp.set_defaults(func=cmd_scott)

@@ -817,12 +817,20 @@ def structure_to_json(M: Structure) -> dict:
     }
 
 
+def json_int(value) -> int:
+    """A JSON integer as is; any other value (a bool, a float, a string)
+    raises TypeError rather than being truncated or converted."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def structure_from_json(data: dict) -> Structure:
     try:
-        sig = Signature(tuple((r["name"], int(r["arity"]))
+        sig = Signature(tuple((r["name"], json_int(r["arity"]))
                               for r in data["signature"]))
-        size = int(data["size"])
-        tables = {name: [tuple(int(v) for v in row) for row in rows]
+        size = json_int(data["size"])
+        tables = {name: [tuple(map(json_int, row)) for row in rows]
                   for name, rows in data.get("relations", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad structure JSON: {exc}") from None

@@ -27,9 +27,10 @@ from .model import (And, Atom, Eq, ModelSpace, Not, Or, Sentence,
 
 
 # Items are (structure, tuple) pairs, kept only as one array('i') of labels
-# per level (about 21 bytes per item).  Refinement peaks at about 120 bytes
-# of heap per item (R/2 at max-size 4: 1,050,908 items, 153 MB peak RSS),
-# so the cap keeps a partition under about 300 MB.
+# per level (about 18 bytes per item).  Refinement peaks at about 95 bytes
+# of heap per item on large spaces (R/2 at max-size 4: 1,050,908 items,
+# 127 MB peak RSS; 1,999,965 items of size-4 P/1 + R/2 classes: 227 MB),
+# so the cap keeps a partition under about 230 MB.
 MAX_PARTITION_ITEMS = 2_000_000
 # Building the fact table behind one tuple length's atomic types peaks at
 # about 16 bytes of heap per entry (R/16 at size 2, pairs: 1,310,720
@@ -56,14 +57,16 @@ class TypePartition:
     k as an ``array('i')`` and refines ``levels[k-1]``; every level at or
     beyond ``stabilization_level`` equals the stabilized partition.
 
-    Items are laid out per structure, by length 0..n_max, each length block
-    in ``itertools.product`` order; ``block(si, length)`` gives where that
-    block of structure si starts and ends.  No item is stored: ``items``
+    Items are laid out per structure from ``starts[si]`` on, by length
+    0..n_max, each length block in ``itertools.product`` order: the heap
+    order of a size-n structure's n-ary tuple tree, so the extensions of
+    local item i are items n*i+1 .. n*i+n.  ``block(si, length)`` gives
+    where one length block starts and ends.  No item is stored: ``items``
     derives them from this layout, for ``len()`` and iteration."""
 
     structures: tuple[Structure, ...]
     n_max: int
-    offsets: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
     levels: tuple[array, ...]
     stabilization_level: int
 
@@ -74,16 +77,17 @@ class TypePartition:
     def block(self, struct_idx: int, length: int) -> tuple[int, int]:
         """Start and end of the item indices of the length-``length``
         tuples of structure ``struct_idx``."""
-        start = self.offsets[struct_idx][length]
-        return start, start + self.structures[struct_idx].size ** length
+        n = self.structures[struct_idx].size
+        start = self.starts[struct_idx] + sum(n ** j for j in range(length))
+        return start, start + n ** length
 
     def _item_index(self, struct_idx: int, tup: tuple[int, ...]) -> int:
         """Index of a tracked tuple of structure ``struct_idx``; unchecked."""
-        size = self.structures[struct_idx].size
-        rank = 0
+        n = self.structures[struct_idx].size
+        i = 0
         for v in tup:
-            rank = rank * size + v
-        return self.block(struct_idx, len(tup))[0] + rank
+            i = i * n + 1 + v
+        return self.starts[struct_idx] + i
 
     def class_at(self, level: int, struct_idx: int, tup: Sequence[int]) -> int:
         tup = tuple(tup)
@@ -102,7 +106,7 @@ class TypePartition:
 
 class PartitionItems:
     """The (structure index, tuple) items of a ``TypePartition`` in layout
-    order, derived on demand from its structures and offsets."""
+    order, derived on demand from its structures and ``n_max``."""
 
     __slots__ = ("_part",)
 
@@ -219,34 +223,18 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
                     f"cap {MAX_FACT_TABLE_ENTRIES}: reading relation {name} "
                     f"takes a table of {entries} entries")
 
-    offsets = []
+    starts = []
     init: list[int] = []
-    first: list[int] = []
-    width: list[int] = []
     code_label: dict[tuple, int] = {}
-    for si, M in enumerate(structures):
-        n = M.size
-        starts = []
+    for M in structures:
+        starts.append(len(init))
         for length in range(n_max + 1):
-            start = len(init)
-            starts.append(start)
-            block = n ** length
             init.extend(code_label.setdefault(code, len(code_label))
                         for code in _atomic_codes(M, length))
-            # the extensions tup + (c,) of the item of rank r are the n
-            # items from rank r * n on in the next length block
-            if length < n_max:
-                first.extend(range(start + block, start + block * (n + 1), n))
-                width.extend(itertools.repeat(n, block))
-            else:
-                # a repeated 0 is one shared int object: most items are at
-                # the cap, and distinct offsets there cost 0.3 MB of RSS
-                first.extend(itertools.repeat(0, block))
-                width.extend(itertools.repeat(0, block))
-        offsets.append(tuple(starts))
 
-    levels, stable = _kernel.active.refine_levels(first, width, init)
-    return TypePartition(structures, n_max, tuple(offsets), tuple(levels),
+    levels, stable = _kernel.active.refine_levels(
+        [M.size for M in structures], n_max, init)
+    return TypePartition(structures, n_max, tuple(starts), tuple(levels),
                          stable)
 
 
@@ -502,7 +490,7 @@ def alpha_types_of(sentence: Sentence, alpha: int,
     for si in range(len(part.structures)):
         if (sat >> si) & 1:
             # the empty tuple's block comes first, the cap length's last
-            start = part.block(si, 0)[0]
+            start = part.starts[si]
             psi.update(labels[start:part.block(si, part.n_max)[1]])
             phi.add(labels[start])
     return ({TypeId(alpha, lab) for lab in psi},

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotApplicableError, ParseError, PreconditionError, \
     VerificationInternalError
-from .model import ModelSpace, Theory
+from .model import ModelSpace, Theory, json_int
 
 
 #: largest universe a ``SetFamily`` may have: a set takes one bit per
@@ -243,12 +243,13 @@ def family_to_json(F: SetFamily) -> dict:
 
 def family_from_json(data: dict) -> SetFamily:
     try:
-        universe = int(data["universe"])
+        universe = json_int(data["universe"])
         sets = data["sets"]
         if not isinstance(sets, list) or not all(isinstance(s, list)
                                                  for s in sets):
             raise ParseError("family sets must be a list of element lists")
         # raises TypeError or ValueError on bad elements or labels
-        return SetFamily.from_lists(universe, sets, data.get("labels"))
+        return SetFamily.from_lists(universe, [map(json_int, s) for s in sets],
+                                    data.get("labels"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family JSON: {exc}") from None

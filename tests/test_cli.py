@@ -234,6 +234,7 @@ class TestErrorPaths:
         (("verify", "--independent", "T"), "--cap-classes"),
         (("fuzz",), "--cap-classes"),
         (("fuzz", "--max-size", "1"), "--count"),
+        (("scott", "S"), "--cap-materialize"),
     ])
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_count_below_one_is_usage_error(self, argv, flag, bound):
@@ -356,6 +357,18 @@ class TestErrorPaths:
         (("setfam", "--check"), {"universe": 4, "sets": [[1], [2]],
                                  "labels": 7}),
         (("setfam", "--check"), {"universe": 4, "sets": [["a"], [2]]}),
+        # JSON numbers other than integers are refused, not truncated
+        (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2.9,
+                      "relations": {}}),
+        (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2,
+                      "relations": {"R": [[0, 1.7]]}}),
+        (("scott",), {"signature": [{"name": "R", "arity": 2}], "size": 2,
+                      "relations": {"R": [["1", True]]}}),
+        (("scott",), {"signature": [{"name": "R", "arity": 2.5}], "size": 2,
+                      "relations": {}}),
+        (("setfam", "--check"), {"universe": 3.9, "sets": [[1], [2]]}),
+        (("setfam", "--check"), {"universe": 4, "sets": [[1.0], [2]]}),
+        (("setfam", "--check"), {"universe": 4, "sets": [[True], [2]]}),
     ])
     def test_malformed_json_exits_2(self, tmp_path, command, data):
         path = tmp_path / "input.json"
