@@ -4,12 +4,16 @@
 partition refiner.  Callers look its functions up as attributes at call
 time, so a tracer can wrap them in place.
 
-A ``Program`` holds one runner closure per node, built by the node
+A ``Program`` reaches one runner closure per node, built by the node
 constructors of ``pure`` (``atom``, ``eq``, ``not_``, ``and_``, ``or_``,
-``exists``, ``forall``), and the root's as ``Program.run``.
-``active.eval_program(prog, size, masks, env0)`` calls it as
-``run(env, (size, masks, memo))`` with a fresh environment and memo, so one
-program can be evaluated from several threads at once.
+``exists``, ``forall``), and holds the root's as ``Program.run``.  Runners
+are shared between programs: ``Program.ops`` lists only those its own
+compilation built.  Memo numbers are unique in the process, and a
+quantifier runner restores the env slot it binds, so a shared runner is
+correct at any quantifier depth.  ``active.eval_program(prog, size, masks,
+env0)`` calls the root as ``run(env, (size, masks, memo))`` with a fresh
+environment and memo, so one program can be evaluated from several threads
+at once.
 
 ``active.refine_levels(sizes, n_max, init_labels)`` takes each structure's
 tuples of length 0..n_max in heap order (by length, each length in product

@@ -4,6 +4,8 @@ A compiled sentence is a DAG of numbered nodes, each built once as a
 closure that evaluates it (Feeley & Lapalme 1987, "Using closures for code
 generation"): the compiler calls one constructor per node, so the choice of
 node kind is paid when the program is built, not per node per structure.
+A node's closure is shared by every program that contains the node with
+its free variables in the same slots.
 """
 
 from array import array
@@ -16,19 +18,23 @@ BACKEND = "pure"
 
 @dataclass
 class Program:
-    """Sentence DAG compiled to one closure per node, children first.
+    """Sentence DAG compiled to one closure per node.
 
-    ops[i]    node i's runner
+    ops       the runners this compilation built, children first; the rest
+              of the DAG reuses runners that other programs built
     run       the root's runner
-    nslots    env slots the program reads or binds
+    nslots    env slots the program reads or binds: one past the deepest
+              slot that any runner it reaches touches, built here or reused
 
     A runner is called as ``run(env, ctx)``.  ``env`` is a list of slot
-    values, free slots first; quantifier nodes overwrite their bound slot.
-    ``ctx`` is ``(size, masks, memo)``, made fresh per evaluation:
-    relation ``r`` holds the tuples set in ``masks[r]`` and ``memo`` maps
-    (node, values of its used slots) to the node's truth value.  Runners
-    hold no mutable state of their own, so threads may share a program.
-    A runner's result is truthy iff the node holds.
+    values, free slots first; a quantifier node binds its slot and restores
+    the slot's value before it returns, so a runner built at one quantifier
+    depth may run at any other.  ``ctx`` is ``(size, masks, memo)``, made
+    fresh per evaluation: relation ``r`` holds the tuples set in
+    ``masks[r]`` and ``memo`` maps (node number, values of the node's used
+    slots) to the node's truth value.  Runners hold no mutable state of
+    their own, so threads and programs may share them.  A runner's result
+    is truthy iff the node holds.
     """
 
     ops: list[Callable] = field(default_factory=list)
@@ -38,8 +44,8 @@ class Program:
 
 # Node constructors, one per node kind, each returning the node's runner.
 # ``rel`` is a relation index and ``slot``/``slots``/``a``/``b`` are env
-# slots; ``i`` is the node's number in its program, which keys its memo
-# entries, and ``used`` lists, sorted, the env slots its subtree reads.
+# slots; ``i`` is the node's number, unique in the process, which keys its
+# memo entries, and ``used`` lists, sorted, the env slots its subtree reads.
 
 def atom(rel: int, slots: tuple[int, ...]) -> Callable:
     # bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left)
@@ -134,11 +140,13 @@ def exists(i: int, child: Callable, slot: int,
         res = memo.get(key)
         if res is None:
             res = False
+            saved = env[slot]
             for v in range(ctx[0]):
                 env[slot] = v
                 if child(env, ctx):
                     res = True
                     break
+            env[slot] = saved
             memo[key] = res
         return res
     return run
@@ -154,11 +162,13 @@ def forall(i: int, child: Callable, slot: int,
         res = memo.get(key)
         if res is None:
             res = True
+            saved = env[slot]
             for v in range(ctx[0]):
                 env[slot] = v
                 if not child(env, ctx):
                     res = False
                     break
+            env[slot] = saved
             memo[key] = res
         return res
     return run

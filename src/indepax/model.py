@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -425,8 +426,37 @@ def _mask_table(mask: int, size: int, arity: int) -> frozenset[tuple[int, ...]]:
 
 #: compiled programs are kept for this many of the most recently used
 #: (sentence, signature, free order) keys; a program holds a few hundred
-#: bytes per node
+#: bytes per node it built, and the runners it shares with other programs
+#: live while any cached program reaches them, so this cap also bounds the
+#: runner table
 PROGRAM_CACHE_SIZE = 32
+
+
+class _RunnerRef(weakref.ref):
+    """A ``_RUNNERS`` entry: a weak reference to a shared runner, with the
+    deepest env slot the runner's subtree touches and the entry's place."""
+
+    __slots__ = ("top", "table", "key")
+
+
+def _forget_runner(ref: _RunnerRef) -> None:
+    """Drop the entry of a runner that died, unless it was replaced.  A
+    thread that replaces it between the test and the ``del`` loses its new
+    entry: that costs a rebuild, never a wrong runner."""
+    if ref.table.get(ref.key) is ref:
+        del ref.table[ref.key]
+
+
+#: runners shared by every compiled program: per signature, a table from
+#: (node, slots of the node's free variables in ``node.free`` order) to a
+#: ``_RunnerRef``.  A runner lives while a cached program reaches it, and
+#: its entry goes with it; a signature's table stays, as signatures are
+#: few.  Keying each table by signature hashes the signature once per
+#: compilation, not once per node.
+_RUNNERS: dict[Signature, dict[tuple, _RunnerRef]] = {}
+#: memo numbers of the memoised runners, unique in the process, so that
+#: runners from different compilations never share a memo key
+_NODE_NUMBERS = itertools.count()
 
 
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
@@ -434,27 +464,32 @@ def compile_sentence(sentence: Sentence, signature: Signature,
                      free_order: tuple[str, ...] = ()) -> Program:
     """Compile a formula to a kernel ``Program`` whose slots
     ``0..len(free_order)-1`` hold the free variables in that order.  The
-    ``PROGRAM_CACHE_SIZE`` most recently used programs are cached."""
+    ``PROGRAM_CACHE_SIZE`` most recently used programs are cached.
+
+    A node's runner depends only on the node, the signature and the slots
+    of the node's free variables, so it is built once and reused, through
+    ``_RUNNERS``, by every program that reaches the node with that key,
+    at whatever quantifier depth: a quantifier runner restores the slot it
+    binds.  ``Program.ops`` lists the runners this call built."""
     missing = sentence.free - set(free_order)
     if missing:
         raise MalformedSentenceError(
             f"unbound variables: {sorted(missing)}")
+    table = _RUNNERS.setdefault(signature, {})
     prog = Program()
     ops = prog.ops
     rel_index = signature.index
     arities = dict(signature.relations)
-    node_memo: dict = {}
-    max_slot = len(free_order) - 1
 
     def rec(node: Sentence, binding: dict[str, int],
-            next_slot: int) -> tuple[Callable, tuple[int, ...]]:
-        """The node's runner and the sorted env slots its subtree reads."""
-        nonlocal max_slot
-        fkey = tuple(sorted((v, binding[v]) for v in node.free))
-        memo_key = (id(node), fkey)
-        hit = node_memo.get(memo_key)
-        if hit is not None:
-            return hit
+            next_slot: int) -> tuple[Callable, int]:
+        """The node's runner and the deepest env slot its subtree touches."""
+        key = (node, *map(binding.__getitem__, node.free))
+        ref = table.get(key)
+        if ref is not None:
+            run = ref()
+            if run is not None:
+                return run, ref.top
         if isinstance(node, Atom):
             if node.rel not in rel_index:
                 raise MalformedSentenceError(f"unknown relation {node.rel!r}")
@@ -463,39 +498,42 @@ def compile_sentence(sentence: Sentence, signature: Signature,
                     f"relation {node.rel} expects {arities[node.rel]} "
                     f"arguments, got {len(node.args)}")
             slots = tuple(binding[v] for v in node.args)
-            run = pure.atom(rel_index[node.rel], slots)
-            used = tuple(sorted(set(slots)))
+            run, top = pure.atom(rel_index[node.rel], slots), max(slots)
         elif isinstance(node, Eq):
             a, b = binding[node.left], binding[node.right]
-            run, used = pure.eq(a, b), tuple(sorted({a, b}))
+            run, top = pure.eq(a, b), max(a, b)
         elif isinstance(node, Not):
-            child, used = rec(node.child, binding, next_slot)
+            child, top = rec(node.child, binding, next_slot)
             run = pure.not_(child)
         elif isinstance(node, (And, Or)):
             kids = [rec(c, binding, next_slot) for c in node.children]
-            used = tuple(sorted(set().union(*(u for _run, u in kids))))
+            top = max((t for _run, t in kids), default=-1)
             make = pure.and_ if isinstance(node, And) else pure.or_
-            run = make(len(ops), tuple(r for r, _used in kids), used)
+            # the slots the subtree reads are its free variables' slots
+            run = make(next(_NODE_NUMBERS), tuple(r for r, _top in kids),
+                       tuple(sorted(key[1:])))
         elif isinstance(node, (Exists, Forall)):
-            slot = next_slot
-            max_slot = max(max_slot, slot)
             inner = dict(binding)
-            inner[node.var] = slot
-            child, child_used = rec(node.child, inner, next_slot + 1)
-            used = tuple(s for s in child_used if s != slot)
+            inner[node.var] = next_slot
+            child, top = rec(node.child, inner, next_slot + 1)
+            top = max(top, next_slot)
             make = pure.exists if isinstance(node, Exists) else pure.forall
-            run = make(len(ops), child, slot, used)
+            run = make(next(_NODE_NUMBERS), child, next_slot,
+                       tuple(sorted(key[1:])))
         else:
             raise MalformedSentenceError(f"not a formula node: {node!r}")
         ops.append(run)
-        node_memo[memo_key] = run, used
-        return run, used
+        # filled in before it is published: another thread may look it up
+        ref = _RunnerRef(run, _forget_runner)
+        ref.top, ref.table, ref.key = top, table, key
+        table[key] = ref
+        return run, top
 
     base = {v: i for i, v in enumerate(free_order)}
-    prog.run = rec(sentence, base, len(free_order))[0]
-    prog.nslots = max_slot + 1
-    # rec reaches itself through its closure: unbinding it frees node_memo
-    # now instead of at the next cyclic garbage collection
+    prog.run, top = rec(sentence, base, len(free_order))
+    prog.nslots = max(top + 1, len(free_order))
+    # rec reaches itself through its closure: unbinding it frees rec now
+    # instead of at the next cyclic garbage collection
     del rec
     return prog
 

@@ -248,8 +248,13 @@ def family_from_json(data: dict) -> SetFamily:
         if not isinstance(sets, list) or not all(isinstance(s, list)
                                                  for s in sets):
             raise ParseError("family sets must be a list of element lists")
-        # raises TypeError or ValueError on bad elements or labels
+        labels = data.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list)
+                and all(isinstance(label, str) for label in labels)):
+            raise TypeError("labels must be a list of strings")
+        # raises TypeError or ValueError on bad elements
         return SetFamily.from_lists(universe, [map(json_int, s) for s in sets],
-                                    data.get("labels"))
+                                    labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family JSON: {exc}") from None

@@ -187,6 +187,21 @@ class TestVerifyCommand:
                     str(files / "theory.json"), "--max-size", "2")
         assert r.returncode == 0
 
+    def test_equivalent_under_reused_quantifier(self, tmp_path):
+        # the runner of ``(exists y (atom R x y))`` is reused under
+        # ``forall z``, where its bound slot holds z; the first disjunct is
+        # false, so the two theories are equivalent
+        theory = tmp_path / "t.json"
+        theory.write_text(json.dumps([
+            "(exists w (or (exists x (and (not (eq x x)) "
+            "(exists y (atom R x y)))) (exists x (forall z "
+            "(and (exists y (atom R x y)) (atom R x z))))))"]))
+        other = tmp_path / "u.json"
+        other.write_text(json.dumps(["(exists x (forall z (atom R x z)))"]))
+        r = run_cli("verify", str(theory), "--equivalent-to", str(other))
+        assert r.returncode == 0, r.stdout
+        assert "equivalence: pass" in r.stdout
+
     def test_nothing_to_verify(self, files):
         r = run_cli("verify", str(files / "theory.json"))
         assert r.returncode == 2
@@ -369,6 +384,11 @@ class TestErrorPaths:
         (("setfam", "--check"), {"universe": 3.9, "sets": [[1], [2]]}),
         (("setfam", "--check"), {"universe": 4, "sets": [[1.0], [2]]}),
         (("setfam", "--check"), {"universe": 4, "sets": [[True], [2]]}),
+        # labels are a list of strings: not a string, not numbers
+        (("setfam", "--check"), {"universe": 4, "sets": [[1], [2]],
+                                 "labels": "ab"}),
+        (("setfam", "--check"), {"universe": 4, "sets": [[1], [2]],
+                                 "labels": [1, 2]}),
     ])
     def test_malformed_json_exits_2(self, tmp_path, command, data):
         path = tmp_path / "input.json"

@@ -14,6 +14,7 @@ from indepax.model import (And, Atom, Eq, Exists, Forall, Not, Or, Signature,
                            Structure, Theory, enumerate_models, entails,
                            infer_signature, models_of, parse_sentence,
                            preprocess, to_sexpr)
+from test_properties import reference_holds
 
 
 # the message and the position of the error in each malformed text
@@ -477,8 +478,9 @@ class TestProgramCache:
         assert compiled.cache_info().misses == info.misses + 1
 
     def test_node_counts_are_pinned(self, ub_space):
-        # one runner per DAG node; the counts were computed when each node
-        # was compiled from an opcode, so the DAG has not changed
+        # one runner per DAG node, each case compiled from an empty runner
+        # table; the counts were computed when each node was compiled from
+        # an opcode, so the DAG has not changed
         import random
         from indepax import generators, scott
         sig = ub_space.signature
@@ -491,10 +493,81 @@ class TestProgramCache:
             cases += [(scott.scott_sentence(M), ()),
                       (scott.type_formula(M, (0,), 2), ("x0",)),
                       (scott.type_formula(M, (1, 0), 1), ("x1", "x0"))]
-        counts = [len(model.compile_sentence(s, sig, order).ops)
+        counts = [len(_compile_fresh(s, sig, order).ops)
                   for s, order in cases]
         assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 4, 5, 105, 55, 35, 741,
                           191, 70, 461, 167, 69]
+
+    def test_program_builds_only_its_new_nodes(self, ub_space):
+        import random
+        from indepax import generators
+        sig = ub_space.signature
+        rng = random.Random(43)
+        for _ in range(10):
+            first = generators.random_formula(rng, 5)
+            both = And([first, generators.random_formula(rng, 5)])
+            if both is first:
+                continue
+            n_both = len(_compile_fresh(both, sig, ()).ops)
+            n_first = len(_compile_fresh(first, sig, ()).ops)
+            # ``first`` stays cached, so ``both`` reuses all of its runners
+            assert len(model.compile_sentence(both, sig, ()).ops) \
+                == n_both - n_first
+            for M in ub_space.representatives[::37]:
+                assert model.eval(M, both) == reference_holds(M, both)
+
+    def test_reused_runner_sets_the_program_slots(self, ub_space):
+        # the inner sentence's runners bind slots 2 and 3 when it is first
+        # compiled under two quantifiers; compiled alone it builds nothing,
+        # and its program must still make room for slot 3
+        inner = parse_sentence("(exists x (forall z (atom R x z)))")
+        outer = Exists("a", Exists("b", inner))
+        sig = ub_space.signature
+        _compile_fresh(outer, sig, ())
+        prog = model.compile_sentence(inner, sig, ())
+        assert prog.ops == [] and prog.nslots == 4
+        for M in ub_space.representatives[::11]:
+            assert model.eval(M, inner) == reference_holds(M, inner)
+
+    def test_quantified_runner_reused_deeper_keeps_the_live_slot(self):
+        # ``(exists y (atom R x y))`` is built under one quantifier binding
+        # y to slot 2, then reused inside ``forall z``, where z holds slot
+        # 2; the runner restores it, so ``(atom R x z)`` reads z.  The first
+        # disjunct is false, so the sentence says what ``equivalent`` says
+        s = parse_sentence(
+            "(exists w (or (exists x (and (not (eq x x)) "
+            "(exists y (atom R x y)))) (exists x (forall z "
+            "(and (exists y (atom R x y)) (atom R x z))))))")
+        equivalent = parse_sentence("(exists x (forall z (atom R x z)))")
+        sig = Signature((("R", 2),))
+        model.compile_sentence.cache_clear()
+        assert not model.eval(Structure.make(sig, 2, {"R": [(0, 1)]}), s)
+        space = enumerate_models(sig, 3)
+        assert space.satset(s) == space.satset(equivalent)
+        assert bin(space.satset(s)).count("1") == 39
+
+    def test_clearing_the_cache_empties_the_runner_table(self, ub_space):
+        import gc
+        import random
+        from indepax import generators
+        rng = random.Random(47)
+        for _ in range(20):
+            model.compile_sentence(generators.random_formula(rng, 5),
+                                   ub_space.signature, ())
+        assert any(model._RUNNERS.values())
+        model.compile_sentence.cache_clear()
+        gc.collect()
+        assert not any(model._RUNNERS.values())
+
+
+def _compile_fresh(sentence, signature, free_order):
+    """``compile_sentence`` from an empty runner table, so that its program
+    builds a runner for every node."""
+    import gc
+    model.compile_sentence.cache_clear()
+    gc.collect()
+    assert not any(model._RUNNERS.values())
+    return model.compile_sentence(sentence, signature, free_order)
 
 
 @st.composite

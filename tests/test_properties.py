@@ -1,10 +1,15 @@
 """Property tests: random nestings as deep as the parser admits round-trip
 through the text format and evaluate the same way per structure, as
 satisfaction bitsets, and under a Tarskian reference evaluator over the
-AST that shares no code with the compiler or the kernel."""
+AST that shares no code with the compiler or the kernel; and sentences
+compiled one after another, reusing each other's node runners, evaluate as
+that reference does."""
 
+import itertools
+import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from indepax import model
@@ -136,3 +141,49 @@ def test_deep_nesting_round_trips_and_evaluates(case, spine, leaf):
         assert bool((mask >> i) & 1) == model.eval(rep, s)
     for rep in space.representatives[::7]:
         assert model.eval(rep, s) == reference_holds(rep, s)
+
+
+def _formula_chain(rng: random.Random, count: int, sig: model.Signature):
+    """``count`` closed sentences, each built over nodes of the ones before
+    it and over those sentences themselves, so that one node recurs within
+    and across sentences, under different quantifiers and at different
+    depths."""
+    (unary, _), (other, arity) = sig.relations
+    pool = [Atom(unary, (v,)) for v in VARS]
+    pool += [Atom(other, vs) for vs in itertools.product(VARS, repeat=arity)]
+    pool += [Eq(v, w) for v in VARS for w in VARS if v < w]
+    sentences = []
+    for _ in range(count):
+        op = rng.choice(("not", "and", "or", "exists", "forall"))
+        if op == "not":
+            node = Not(rng.choice(pool))
+        elif op in ("and", "or"):
+            node = (And if op == "and" else Or)(rng.sample(pool, 2))
+        else:
+            node = (Exists if op == "exists" else Forall)(rng.choice(VARS),
+                                                          rng.choice(pool))
+        pool.append(node)
+        # bind the free variables in a random order, with vacuous
+        # quantifiers over ``u`` mixed in to move the node deeper
+        binders = sorted(node.free) + ["u"] * rng.randint(0, 2)
+        rng.shuffle(binders)
+        s = node
+        for v in binders:
+            s = (Exists if rng.random() < 0.5 else Forall)(v, s)
+        sentences.append(s)
+        pool.append(s)
+    return sentences
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", (7, 9))
+def test_runners_shared_across_sentences_evaluate_correctly(case, seed):
+    # each sentence is compiled after the ones it shares nodes with, so its
+    # program reuses their runners at other quantifier depths; in each case
+    # one of the two chains reuses a runner under a quantifier that holds
+    # the runner's bound slot
+    sig, reps = structures(case)
+    model.compile_sentence.cache_clear()
+    for s in _formula_chain(random.Random(seed), 300, sig):
+        for M in reps:
+            assert model.eval(M, s) == reference_holds(M, s), (to_sexpr(s), M)
