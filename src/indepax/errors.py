@@ -28,7 +28,8 @@ class EnumerationOverflowError(IndepaxError):
 
 
 class MaterializationRefusedError(IndepaxError):
-    """Scott sentence requested for a structure above the size cap."""
+    """Type formula requested for a structure above the size cap, or one
+    whose literals would exceed the atom cap."""
 
 
 class PreconditionError(IndepaxError):

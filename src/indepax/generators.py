@@ -89,7 +89,7 @@ def random_partition_instance(rng: random.Random, space: ModelSpace
     """(theory, pivot index, parts) such that the parts partition the
     negation of the pivot over the space: counter-model classes of the
     pivot are split into blocks and each part is the disjunction of the
-    block's Scott sentences."""
+    block's isolating sentences (``scott.space_scott_sentence``)."""
     from .scott import space_scott_sentence
     for _ in range(PARTITION_ATTEMPTS):
         n = rng.randint(2, 4)
@@ -132,7 +132,9 @@ def random_type_instance(rng: random.Random, space: ModelSpace,
                          ) -> Optional[list[tuple[TypeId, list[Sentence]]]]:
     """2..6 stabilized one-element types realized in pairwise disjoint sets
     of space models, as negation-completed formula sets (each type carries
-    its own type formula plus the negations of the others')."""
+    its own type formula plus the negations of the others').  Each type
+    formula has the partition's length cap, so over the space it holds at
+    exactly the elements of the class it names."""
     part = space_partition(space)
     level = part.stabilization_level
     # class -> (first realizing (rep, element), realizing rep set)
@@ -164,7 +166,8 @@ def random_type_instance(rng: random.Random, space: ModelSpace,
             si, e = realizers[lab]
             base[lab] = type_formula(space.representatives[si], (e,), level,
                                      cap=max(DEFAULT_MATERIALIZE_CAP,
-                                             space.max_size))
+                                             space.max_size),
+                                     length=part.n_max)
         out = []
         for lab in chosen:
             formulas = [base[lab]] + [Not(base[other]) for other in chosen

@@ -149,18 +149,6 @@ CONTRADICTION = Exists("x", Not(Eq("x", "x")))
 TAUTOLOGY = Exists("x", Eq("x", "x"))
 
 
-def exists_block(vars_: Sequence[str], child: Sentence) -> Sentence:
-    for v in reversed(vars_):
-        child = Exists(v, child)
-    return child
-
-
-def forall_block(vars_: Sequence[str], child: Sentence) -> Sentence:
-    for v in reversed(vars_):
-        child = Forall(v, child)
-    return child
-
-
 # ---------------------------------------------------------------------------
 # s-expression text format
 # ---------------------------------------------------------------------------
@@ -603,7 +591,8 @@ class ModelSpace:
     indices; all higher-level checks reduce to bitset algebra, so every
     sentence is evaluated over the space at most once.  ``And``, ``Or`` and
     ``Not`` are always bitset algebra over the children's satsets, and
-    ``scott.space_scott_sentence`` seeds Scott sentences' satsets by index.
+    ``scott.space_scott_sentence`` seeds the satsets of the isolating
+    sentences of the space's classes by index.
     Per-element sets of open formulas (``elem_satset``) follow the same
     rule for ``Not`` only: the complement of the child's sets within
     ``(1 << size) - 1`` per representative.

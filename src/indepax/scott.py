@@ -1,4 +1,5 @@
-"""Back-and-forth type computation, Scott heights, Scott sentences, and
+"""Back-and-forth type computation, Scott heights, Hintikka type formulas
+(Scott sentences, and sentences isolating a class within a space), and
 canonical isomorphism invariants for finite structures.
 
 Levels are finite: a finite structure's tuple partition stabilizes after
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +24,8 @@ from typing import Optional
 from . import _kernel
 from .errors import (EnumerationOverflowError, MaterializationRefusedError,
                      PreconditionError, SignatureMismatchError)
-from .model import (And, Atom, Eq, ModelSpace, Not, Or, Sentence,
-                    Signature, Structure, exists_block, forall_block)
+from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
+                    Sentence, Signature, Structure)
 
 
 # Items are (structure, tuple) pairs, kept only as one array('i') of labels
@@ -310,52 +312,10 @@ def canonical_invariant(M: Structure) -> str:
 # ---------------------------------------------------------------------------
 
 DEFAULT_MATERIALIZE_CAP = 4
-# Building a Scott sentence peaks at about 1.6 KB of heap per atom of its
-# longest tuples' literals (R/16 at size 1: 65,537 atoms, 105 MB), so the
-# cap keeps one under about 160 MB.
+# Building a Scott sentence peaks at about 1.4 KB of heap per atom of its
+# longest tuples' literals (R/16 at size 1: 65,537 atoms, 93 MB), so the
+# cap keeps one under about 140 MB.
 MAX_LITERAL_ATOMS = 100_000
-
-
-class _Materializer:
-    """The type formulas of one structure, hash-consed, with free variables
-    x0..x(k-1) for a k-tuple.  ``rows[alpha, k]`` lists the level-alpha
-    formulas of all k-tuples in product order, built when first reached, so
-    the extensions of the k-tuple of rank r by ell elements are the slice
-    r*n**ell .. (r+1)*n**ell of length k+ell; rows past length n are level 0."""
-
-    def __init__(self, M: Structure):
-        self.M = M
-        self.rows: dict[tuple[int, int], list[Sentence]] = {}
-
-    def row(self, alpha: int, k: int) -> list[Sentence]:
-        M, n = self.M, self.M.size
-        key = (alpha if k <= n else 0, k)
-        if key not in self.rows:
-            if key[0]:
-                self.rows[key] = [self.node(alpha, k, r) for r in range(n ** k)]
-            else:
-                # past the partition's cap on index tables (wide
-                # relations), the (n+1)-tuples are read one by one
-                codes = _atomic_codes(M, k) if k <= n or all(
-                    (n ** k + a) * k ** a <= MAX_FACT_TABLE_ENTRIES
-                    for _name, a in M.signature.relations) else map(
-                        _tuple_code, itertools.repeat(M),
-                        itertools.product(range(n), repeat=k))
-                self.rows[key] = [_atomic(M.signature, c) for c in codes]
-        return self.rows[key]
-
-    def node(self, alpha: int, k: int, r: int) -> Sentence:
-        """The level-alpha formula (alpha >= 1) of the k-tuple (k <= n) of
-        rank r: the previous level, then the extension blocks."""
-        n = self.M.size
-        exists, forall = [], []
-        for ell in range(1, n + 2 - k):
-            yvars = [f"x{i}" for i in range(k, k + ell)]
-            block = self.row(alpha - 1, k + ell)[r * n ** ell:(r + 1) * n ** ell]
-            if k + ell <= n:
-                exists += [exists_block(yvars, f) for f in dict.fromkeys(block)]
-            forall.append(forall_block(yvars, Or(block)))
-        return And([self.row(alpha - 1, k)[r], *exists, *forall])
 
 
 def _tuple_code(M: Structure, tup: tuple[int, ...]) -> tuple:
@@ -365,7 +325,10 @@ def _tuple_code(M: Structure, tup: tuple[int, ...]) -> tuple:
         cells = [0]  # bit indices of the position combinations, in order
         for _ in range(arity):
             cells = [c * M.size + v for c in cells for v in tup]
-        facts.append(int("0" + "".join([str(mask >> c & 1) for c in cells]), 2))
+        f = 0
+        for c in cells:
+            f = f << 1 | mask >> c & 1
+        facts.append(f)
     return len(tup), tuple(map(tup.index, tup)), tuple(facts)
 
 
@@ -394,14 +357,16 @@ def _atomic(signature: Signature, code: tuple) -> Sentence:
     return And(conj + [p if b == "1" else q for b, (p, q) in zip(bits, atoms)])
 
 
-_materializer = lru_cache(maxsize=128)(_Materializer)
-
-
 def type_formula(M: Structure, tup: Sequence[int], alpha: int,
-                 cap: int = DEFAULT_MATERIALIZE_CAP) -> Sentence:
-    """The formula of the level-alpha type of a tuple in M, with free
-    variables x0..x(len-1).  The empty tuple at a high enough level is the
-    Scott sentence.
+                 cap: int = DEFAULT_MATERIALIZE_CAP,
+                 length: Optional[int] = None) -> Sentence:
+    """The rank-alpha Hintikka formula of a tuple in M, with free variables
+    x0..x(len-1), whose extensions stop at tuples of ``length`` elements
+    (default: one past M's size).  A structure B satisfies it at s iff
+    (B, s) shares the tuple's level-alpha class in a joint partition whose
+    length cap is ``length``: by induction on alpha, as the formula states
+    the atomic type and the level-(alpha-1) classes of the one-element
+    extensions, both ways.
 
     Raises MaterializationRefusedError, before building anything, when M
     is larger than ``cap`` or the literals of the longest tuples the
@@ -413,37 +378,41 @@ def type_formula(M: Structure, tup: Sequence[int], alpha: int,
     tup = tuple(tup)
     if any(not (0 <= v < M.size) for v in tup):
         raise PreconditionError(f"tuple {tup} out of range")
-    # levels above 0 extend tuples up to one past the structure size; a
-    # relation of arity a has k**a atoms over k-tuples, and past 64 the
+    if length is None:
+        length = M.size + 1
+    # a relation of arity a has k**a atoms over k-tuples, and past 64 the
     # arity cannot bring that under the cap unless k is 1
-    k = max(len(tup), M.size + 1) if alpha else len(tup)
+    k = max(len(tup), min(len(tup) + alpha, length))
     atoms = sum(k ** min(arity, 64) for _name, arity in M.signature.relations)
     if atoms > MAX_LITERAL_ATOMS:
         raise MaterializationRefusedError(
             f"the literals of {k}-tuples take {atoms} atoms, over cap "
             f"{MAX_LITERAL_ATOMS}")
-    return _formula(M, tup, alpha)
+    return _formula(M, tup, alpha, length)
 
 
 @lru_cache(maxsize=4096)
-def _formula(M: Structure, tup: tuple[int, ...], alpha: int) -> Sentence:
-    """What ``type_formula`` returns; kept, as no row holds the node."""
-    if alpha == 0 or len(tup) > M.size:
-        return _atomic(M.signature, _tuple_code(M, tup))
-    rank = sum(v * M.size ** i for i, v in enumerate(reversed(tup)))
-    return _materializer(M).node(alpha, len(tup), rank)
+def _formula(M: Structure, tup: tuple[int, ...], a: int,
+             length: int) -> Sentence:
+    """What ``type_formula`` returns.  The atomic conjunct comes first, so
+    that a conjunction of these formulas fails fast on a wrong tuple."""
+    atomic = _atomic(M.signature, _tuple_code(M, tup))
+    if a == 0 or len(tup) >= length:
+        return atomic
+    x = f"x{len(tup)}"
+    kids = [_formula(M, tup + (c,), a - 1, length) for c in range(M.size)]
+    return And([atomic, *(Exists(x, f) for f in kids), Forall(x, Or(kids))])
 
 
 def scott_sentence(M: Structure, cap: int = DEFAULT_MATERIALIZE_CAP) -> Sentence:
     """Materialize the sentence characterizing M up to isomorphism among
-    finite structures: the empty tuple's type at level scott_height(M)+2.
-
-    Level 0 is the atomic conjunction; a successor level conjoins the
-    previous level, existential extension blocks (total tuple length up to
-    n_max), and one universal block per extension length with the longest
-    block one past n_max, which pins the structure size by pigeonhole.
+    finite structures: the rank-(n+1) Hintikka formula of the empty tuple,
+    n = M.size.  From the root, rank n+1 never reaches the length cap n+1.
+    A structure satisfying it is (n+1)-round Ehrenfeucht-Fraisse equivalent
+    to M, so it has no n+1 distinct elements (pigeonhole), and the answers
+    to n rounds that pick every element of M map M onto it.
     """
-    return type_formula(M, (), scott_height(M) + 2, cap)
+    return type_formula(M, (), M.size + 1, cap)
 
 
 @dataclass(frozen=True)
@@ -457,10 +426,11 @@ class ScottReport:
 
 
 def scott_report(M: Structure, cap: int = DEFAULT_MATERIALIZE_CAP) -> ScottReport:
-    sentence = None
-    if M.size <= cap:
-        sentence = scott_sentence(M, cap)
-    return ScottReport(M, scott_height(M), sentence, canonical_invariant(M))
+    # the height first: its partition cap refuses an oversized structure
+    # before the sentence's literal cap would
+    height = scott_height(M)
+    sentence = scott_sentence(M, cap) if M.size <= cap else None
+    return ScottReport(M, height, sentence, canonical_invariant(M))
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +467,45 @@ def alpha_types_of(sentence: Sentence, alpha: int,
             {TypeId(alpha, lab) for lab in phi})
 
 
-def space_scott_sentence(space: ModelSpace, rep_index: int) -> Sentence:
-    """Scott sentence of a representative, cached per space.
+def _isolation_levels(part: TypePartition) -> list[int]:
+    """Per structure of the partition, the least level at which its empty
+    tuple's class holds no other structure's empty tuple.  Raises
+    PreconditionError when two empty tuples share the stabilized class:
+    those structures are isomorphic."""
+    found: list[Optional[int]] = [None] * len(part.structures)
+    for level in range(part.stabilization_level + 1):
+        roots = [part.levels[level][start] for start in part.starts]
+        counts = Counter(roots)
+        for si, lab in enumerate(roots):
+            if found[si] is None and counts[lab] == 1:
+                found[si] = level
+    if None in found:
+        raise PreconditionError(
+            "space representatives are not pairwise non-isomorphic")
+    return found
 
-    A Scott sentence holds exactly in the structures isomorphic to its
-    own, so its satisfaction bitset is seeded as ``1 << rep_index``, not
-    evaluated; the formula is still built for reports.  The first call for
-    a space certifies that no two representatives are isomorphic (their
-    empty tuples lie in distinct stabilized classes) or raises
+
+def space_scott_sentence(space: ModelSpace, rep_index: int) -> Sentence:
+    """The isolating sentence of a class of the space, cached per space: the
+    Hintikka formula of its representative's empty tuple at the class's
+    isolation level, with the partition's length cap.  It holds at exactly
+    the representatives whose empty tuple shares that level's class (see
+    ``type_formula``), which is this class alone, so its satisfaction
+    bitset is seeded as ``1 << rep_index``, not evaluated.  The first call
+    for a space computes every class's isolation level, and so certifies
+    that no two representatives are isomorphic, or raises
     PreconditionError."""
-    cache = space._extra.get("scott_sentences")
-    if cache is None:
-        part = space_partition(space)
-        roots = {part.class_at(part.stabilization_level, i, ())
-                 for i in range(len(space.representatives))}
-        if len(roots) != len(space.representatives):
-            raise PreconditionError(
-                "space representatives are not pairwise non-isomorphic")
-        cache = space._extra["scott_sentences"] = {}
+    found = space._extra.get("isolating")
+    if found is None:
+        found = space._extra["isolating"] = (
+            _isolation_levels(space_partition(space)), {})
+    levels, cache = found
     s = cache.get(rep_index)
     if s is None:
-        rep = space.representatives[rep_index]
-        s = scott_sentence(rep, cap=max(DEFAULT_MATERIALIZE_CAP, space.max_size))
+        s = type_formula(space.representatives[rep_index], (),
+                         levels[rep_index],
+                         cap=max(DEFAULT_MATERIALIZE_CAP, space.max_size),
+                         length=space_partition(space).n_max)
         cache[rep_index] = s
         space._satsets[id(s)] = 1 << rep_index
     return s

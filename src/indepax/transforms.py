@@ -15,8 +15,8 @@ from .errors import (DuplicateTypeError, MalformedSentenceError,
                      NotApplicableError, PartitionInvalidError,
                      PreconditionError, SeparationFailureError,
                      VerificationInternalError)
-from .model import (And, ModelSpace, Not, Or, Sentence, Structure, Theory,
-                    exists_block, preprocess, to_sexpr)
+from .model import (And, Exists, ModelSpace, Not, Or, Sentence, Structure,
+                    Theory, preprocess, to_sexpr)
 from .scott import TypeId, space_scott_sentence
 from .setfam import intersections_of_others
 from .verify import check_independence, check_theories_equivalent
@@ -173,7 +173,7 @@ def reznikoff_pairing(C: Theory, D: Theory, space: ModelSpace) -> TransformRepor
 
 
 # ---------------------------------------------------------------------------
-# Scott-sentence based constructions
+# Constructions from isolating sentences
 # ---------------------------------------------------------------------------
 
 def _counter_mask(T: Union[Theory, Sequence[Sentence]], space: ModelSpace) -> int:
@@ -192,9 +192,10 @@ def _bits(mask: int):
 
 
 def complement_axiomatization(T: Theory, space: ModelSpace) -> TransformReport:
-    """One sentence per counter-model class: the negation of its Scott
-    sentence.  Each class is its own independence witness, since it
-    satisfies every other negated Scott sentence and fails its own."""
+    """One sentence per counter-model class: the negation of its isolating
+    sentence (``scott.space_scott_sentence``).  Each class is its own
+    independence witness, since it satisfies every other negated isolating
+    sentence and fails its own."""
     counter = _counter_mask(T, space)
     out_sentences = []
     labels = []
@@ -211,7 +212,7 @@ def complement_axiomatization(T: Theory, space: ModelSpace) -> TransformReport:
 
 
 def scott_filter_transform(T: Theory, space: ModelSpace) -> TransformReport:
-    """Per input sentence, conjoin the negated Scott sentences of its
+    """Per input sentence, conjoin the negated isolating sentences of its
     counter-model classes not already used at an earlier index; empty
     conjunctions are dropped."""
     _counter_mask(T, space)  # consistency precondition
@@ -355,7 +356,7 @@ def phi_star(tree: SeparatingTree) -> Sentence:
             if len(u) == n or (u in tree.leaves and len(u) < n):
                 disjuncts.append(And(tree.nodes[u]))
         level_clauses.append(Or(disjuncts))
-    return exists_block([tree.var], And(level_clauses))
+    return Exists(tree.var, And(level_clauses))
 
 
 # ---------------------------------------------------------------------------

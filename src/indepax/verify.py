@@ -6,7 +6,7 @@ recursion (no partition refinement, no kernel), and the isomorphism oracle
 is plain permutation search (no canonical forms).  The independence and
 equivalence checks do share code: they read ``ModelSpace.satset``, the
 cache that ``scott.space_scott_sentence`` seeds with ``1 << i`` for the
-Scott sentence of class i instead of evaluating it.  Passing verdicts
+isolating sentence of class i instead of evaluating it.  Passing verdicts
 certify bounded-space claims only; every report carries its bound.
 """
 

@@ -109,21 +109,22 @@ def test_criterion_2_isomorphism_completeness(ub_space):
 
 def test_criterion_3_scott_sentence_soundness(binary_space):
     """eval(N, scott_sentence(M)) iff M and N are isomorphic, for all
-    isomorphism-class pairs of size <= 3 over one binary relation."""
+    isomorphism-class pairs of size <= 3 over one binary relation; and the
+    seeded satset of each class's isolating sentence equals its evaluation
+    over the space."""
     reps = binary_space.representatives
     sentences = [scott.scott_sentence(M) for M in reps]
     disagreements = 0
     seeded_mismatches = 0
     for i, M in enumerate(reps):
-        evaluated = 0
         for j, N in enumerate(reps):
-            ev = model.eval(N, sentences[i])
-            evaluated |= ev << j
             iso, _ = verify.oracle_isomorphic(M, N)
-            disagreements += (ev != iso)
+            disagreements += (model.eval(N, sentences[i]) != iso)
         # the space seeds this bitset by index instead of evaluating it
-        seeded = binary_space.satset(scott.space_scott_sentence(binary_space, i))
-        seeded_mismatches += (seeded != evaluated)
+        isolating = scott.space_scott_sentence(binary_space, i)
+        evaluated = sum(model.eval(N, isolating) << j
+                        for j, N in enumerate(reps))
+        seeded_mismatches += (binary_space.satset(isolating) != evaluated)
     report(3, "Scott sentence soundness",
            disagreements == 0 and seeded_mismatches == 0,
            f"{len(reps)}x{len(reps)} evaluations, "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -108,6 +109,22 @@ class TestTransformCommand:
         assert r.returncode == 0
         report = json.loads((tmp_path / "transform.json").read_text())
         assert report["notes"]["dropped_inputs"] == [1]
+
+    def test_scott_filter_report_stays_small(self, tmp_path):
+        # 342 counter-classes at max-size 3: one isolating sentence each
+        theory = tmp_path / "t.json"
+        theory.write_text(json.dumps(
+            ["(exists x (atom P x))", "(forall x (exists y (atom R x y)))"]))
+        r = run_cli("transform", "--method", "scott-filter", str(theory),
+                    "--max-size", "3", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        path = tmp_path / "transform.json"
+        assert path.stat().st_size < 5 * 1024 * 1024
+        report = json.loads(path.read_text())
+        # the transform exits 0 only when its output passed both the
+        # equivalence and the independence check
+        assert report["equivalence_checked"] is True
+        assert len(report["output"]) == 2
 
     def test_partition_method_with_parts_file(self, tmp_path):
         theory = tmp_path / "t.json"
@@ -306,8 +323,8 @@ class TestErrorPaths:
         assert "Traceback" not in r.stderr
 
     def test_oversized_literals_exit_1(self, tmp_path):
-        # the Scott sentence of one element would read 2**20 atoms over
-        # the pairs of its universal block
+        # the rank-2 Scott sentence of one element would read 2**20 atoms
+        # over the pairs
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({
             "signature": [{"name": "R", "arity": 20}], "size": 1,
@@ -439,6 +456,15 @@ class TestDeterminism:
                      "--out", str(b), hash_seed="999")
         assert r1.returncode == 0 and r2.returncode == 0
         assert (a / "fuzz.json").read_bytes() == (b / "fuzz.json").read_bytes()
+
+    def test_fuzz_report_is_pinned(self, tmp_path):
+        # the gate for rewrites that must not change any output
+        r = run_cli("fuzz", "--seed", "7", "--count", "20", "--out",
+                    str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        digest = hashlib.sha256((tmp_path / "fuzz.json").read_bytes())
+        assert digest.hexdigest() == (
+            "2d94b9962835b633eff3f6ff85f64c461bff75c4b714815bf9800cfbebfed59c")
 
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -104,7 +104,7 @@ class TestAst:
         assert str(exc.value) == message + suffix
 
     def test_parse_memory_follows_distinct_nodes(self, cycle3):
-        # the 3-cycle's Scott sentence prints as 299,032 characters; with
+        # the 3-cycle's Scott sentence prints as 597,064 characters; with
         # its nodes interned, reading the text back holds only the open
         # frames
         s = scott.scott_sentence(cycle3)
@@ -479,8 +479,8 @@ class TestProgramCache:
 
     def test_node_counts_are_pinned(self, ub_space):
         # one runner per DAG node, each case compiled from an empty runner
-        # table; the counts were computed when each node was compiled from
-        # an opcode, so the DAG has not changed
+        # table; the last nine are the distinct nodes of the Hintikka
+        # builder's formulas
         import random
         from indepax import generators, scott
         sig = ub_space.signature
@@ -495,8 +495,8 @@ class TestProgramCache:
                       (scott.type_formula(M, (1, 0), 1), ("x1", "x0"))]
         counts = [len(_compile_fresh(s, sig, order).ops)
                   for s, order in cases]
-        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 4, 5, 105, 55, 35, 741,
-                          191, 70, 461, 167, 69]
+        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 4, 5, 80, 51, 37, 408,
+                          64, 37, 315, 57, 36]
 
     def test_program_builds_only_its_new_nodes(self, ub_space):
         import random

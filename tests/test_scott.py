@@ -167,11 +167,13 @@ def reference_partition(structures):
         levels.append(new)
 
 
-def reference_type_formulas(M):
-    """Level-alpha type formula of a tuple of M by top-down recursion over
-    its one-element extensions, memoised per (tuple, level), with literals
-    decided by set membership in ``M.tables``."""
+def reference_type_formulas(M, length=None):
+    """Rank-alpha Hintikka formula of a tuple of M by top-down recursion
+    over its one-element extensions, which stop at tuples of ``length``
+    elements (default one past M's size), memoised per (tuple, level), with
+    literals decided by set membership in ``M.tables``."""
     n = M.size
+    length = n + 1 if length is None else length
     memo = {}
     var = "x{}".format
 
@@ -191,25 +193,14 @@ def reference_type_formulas(M):
     def formula(tup, alpha):
         key = (tup, alpha)
         if key not in memo:
-            if alpha == 0:
+            if alpha == 0 or len(tup) >= length:
                 memo[key] = atomic(tup)
             else:
-                k = len(tup)
-                conj = [formula(tup, alpha - 1)]
-                for ell in range(1, n - k + 1):
-                    yvars = [var(k + j) for j in range(ell)]
-                    seen = set()
-                    for ext in itertools.product(range(n), repeat=ell):
-                        f = formula(tup + ext, alpha - 1)
-                        if id(f) not in seen:
-                            seen.add(id(f))
-                            conj.append(model.exists_block(yvars, f))
-                for ell in range(1, n + 2 - k):
-                    yvars = [var(k + j) for j in range(ell)]
-                    conj.append(model.forall_block(yvars, model.Or(
-                        [formula(tup + ext, alpha - 1) for ext in
-                         itertools.product(range(n), repeat=ell)])))
-                memo[key] = model.And(conj)
+                y = var(len(tup))
+                kids = [formula(tup + (c,), alpha - 1) for c in range(n)]
+                memo[key] = model.And([atomic(tup),
+                                       *[model.Exists(y, f) for f in kids],
+                                       model.Forall(y, model.Or(kids))])
         return memo[key]
 
     return formula
@@ -413,7 +404,7 @@ class TestScottSentence:
 
     def test_literal_cap_is_inclusive(self, monkeypatch):
         # one ternary relation on one element: 2**3 atoms over the pairs
-        # that the universal block reaches, 1 over the 1-tuples
+        # that the rank-2 Scott sentence reaches, 1 over the 1-tuples
         M = Structure.make(Signature((("T", 3),)), 1, {"T": [(0, 0, 0)]})
         monkeypatch.setattr(scott, "MAX_LITERAL_ATOMS", 8)
         scott.scott_sentence(M)
@@ -425,12 +416,14 @@ class TestScottSentence:
         scott.type_formula(M, (0,), 0)
 
     def test_literal_cap_bounds_a_level_zero_build(self):
-        # level 0 reads only the tuple's own length: one atom here, where
-        # the pairs that a higher level reaches would take 2**20
+        # level 0 reads only the tuple's own length, and rank 1 from the
+        # empty tuple only the 1-tuples: one atom each here, where the pairs
+        # that a higher rank reaches would take 2**20
         code = ("from indepax import model, scott\n"
                 "M = model.Structure.make(model.Signature((('R', 20),)), 1,"
                 " {'R': [(0,) * 20]})\n"
-                "print(model.to_sexpr(scott.type_formula(M, (0,), 0)))")
+                "print(model.to_sexpr(scott.type_formula(M, (0,), 0)))\n"
+                "print(model.to_sexpr(scott.type_formula(M, (), 1)))")
         src = os.path.dirname(os.path.dirname(scott.__file__))
         env = dict(os.environ, PYTHONPATH=src)
 
@@ -439,31 +432,34 @@ class TestScottSentence:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=env, preexec_fn=limit, timeout=60)
         assert r.returncode == 0, r.stderr
-        assert r.stdout == "(atom R " + " ".join(["x0"] * 20) + ")\n"
+        atom = "(atom R " + " ".join(["x0"] * 20) + ")"
+        assert r.stdout == (f"{atom}\n"
+                            f"(and (and) (exists x0 {atom}) (forall x0 {atom}))\n")
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_matches_top_down_reference(self, arity):
-        # every reached row is built level by level in product order; the
-        # nodes must be the very ones the per-tuple recursion interns
+        # the nodes must be the very ones the per-tuple recursion interns,
+        # under the default length cap and under shorter ones
         sig = Signature((("P", 1), ("T", arity)))
         rng = random.Random(f"materialize-{arity}")
         for n in (1, 2, 3, 4):
             M = random_structure(rng, sig, n)
-            ref = reference_type_formulas(M)
-            for alpha, k in itertools.product(range(5), range(n + 3)):
-                for _ in range(2 if k else 1):
-                    tup = tuple(rng.randrange(n) for _ in range(k))
-                    assert scott.type_formula(M, tup, alpha) is ref(tup, alpha)
+            for length in (None, n, 2):
+                ref = reference_type_formulas(M, length)
+                for alpha, k in itertools.product(range(5), range(n + 3)):
+                    for _ in range(2 if k else 1):
+                        tup = tuple(rng.randrange(n) for _ in range(k))
+                        got = scott.type_formula(M, tup, alpha, length=length)
+                        assert got is ref(tup, alpha)
 
     def test_wide_rows_read_one_tuple_at_a_time(self, monkeypatch):
-        # past the cap on index tables the (n+1)-tuples' codes are read
-        # tuple by tuple; the formulas must be the same nodes
+        # the cap on the partition's index tables must not change the
+        # formulas: the builder reads each tuple's code on its own
         rng = random.Random("one-by-one")
         structs = [random_structure(rng, SIGNATURES["ternary"], n)
                    for n in (1, 2, 3)]
         want = [scott.type_formula(M, (), 3) for M in structs]
         scott._formula.cache_clear()
-        scott._materializer.cache_clear()
         monkeypatch.setattr(scott, "MAX_FACT_TABLE_ENTRIES", 0)
         got = [scott.type_formula(M, (), 3) for M in structs]
         assert all(g is w for g, w in zip(got, want))
@@ -471,7 +467,7 @@ class TestScottSentence:
     def test_formulas_of_fuzz_space_are_pinned(self, ub_space):
         # every 12th class of the 792-class P/1 + R/2 space: its Scott
         # sentence and its elements' types at levels 0-3, as the per-tuple
-        # recursion built them
+        # Hintikka recursion (``reference_type_formulas``) builds them
         formulas = []
         for M in ub_space.representatives[::12]:
             formulas.append(scott.scott_sentence(M))
@@ -479,7 +475,7 @@ class TestScottSentence:
                          for e in range(M.size) for a in range(4)]
         assert len(formulas) == 838
         assert dag_digest(formulas) == (
-            "71d46a1ef2ea5e1b9596e7fbc9e55c0e9dc5b2034a9294082c69e37227cad958")
+            "550f32576b6c0b382e3f6fdb5b125fc61b6bcda61d5883fe47d28d040a57501d")
 
     def test_space_sentence_needs_non_isomorphic_representatives(self, sig):
         # the seeded satset 1 << i is only sound when no two
@@ -488,6 +484,16 @@ class TestScottSentence:
         space = model.ModelSpace(sig, 3, (M, M.apply_permutation((2, 0, 1))))
         with pytest.raises(PreconditionError):
             scott.space_scott_sentence(space, 0)
+
+    def test_isolating_sentences_hold_at_their_class_alone(self,
+                                                          binary_space):
+        # every seeded satset of the 116-class R/2 space, against the
+        # evaluation of the same sentence over the space
+        reps = binary_space.representatives
+        for i in range(len(reps)):
+            s = scott.space_scott_sentence(binary_space, i)
+            evaluated = sum(model.eval(N, s) << j for j, N in enumerate(reps))
+            assert evaluated == binary_space.satset(s) == 1 << i
 
     def test_every_labeled_structure_satisfies_its_class_sentence(self, sig):
         # exhaustive over all 18 labeled structures of size <= 2: each one

@@ -210,6 +210,23 @@ class TestScottFilter:
 
 
 class TestSeparatingTree:
+    def test_type_formulas_define_their_partition_class(self, ub_sig):
+        # each type formula has the partition's length cap, so over the
+        # 40-class space its elements are exactly those of its class
+        space = model.enumerate_models(ub_sig, 2)
+        assert len(space.representatives) == 40
+        part = scott.space_partition(space)
+        rng = random.Random(8)
+        for count in range(2, 7):
+            for tid, formulas in generators.random_type_instance(
+                    rng, space, count):
+                want = tuple(
+                    sum(1 << e for e in range(M.size)
+                        if part.class_at(tid.level, si, (e,))
+                        == tid.class_index)
+                    for si, M in enumerate(space.representatives))
+                assert space.elem_satset(formulas[0], "x0") == want
+
     def test_single_type(self, ub_space):
         types = generators.random_type_instance(random.Random(1), ub_space, 1)
         tree = build_separating_tree(types, ub_space)
