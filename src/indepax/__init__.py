@@ -2,7 +2,5 @@
 transforms, and independent set-family constructions, with brute-force
 verification oracles for every construction."""
 
-from ._kernel import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

@@ -17,7 +17,6 @@ import sys
 from typing import Optional
 
 from . import __version__, generators, model, scott, setfam, transforms, verify
-from ._kernel import BACKEND
 from .errors import (IndepaxError, MalformedSentenceError, ParseError,
                      VerificationInternalError)
 from .model import (ModelSpace, Theory, enumerate_models, infer_signature,
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scott analysis and independent axiomatizations over "
                     "bounded model spaces")
     p.add_argument("--version", action="version",
-                   version=f"indepax {__version__} (kernel: {BACKEND})")
+                   version=f"indepax {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scott", parents=[output],

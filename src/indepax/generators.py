@@ -11,7 +11,7 @@ from typing import Optional
 from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
                     Sentence, Signature, Theory)
 from .scott import (DEFAULT_MATERIALIZE_CAP, TypeId, space_partition,
-                    type_formula)
+                    space_scott_sentence, type_formula)
 from .setfam import SetFamily
 
 FUZZ_SIGNATURE = Signature((("P", 1), ("R", 2)))
@@ -90,7 +90,6 @@ def random_partition_instance(rng: random.Random, space: ModelSpace
     negation of the pivot over the space: counter-model classes of the
     pivot are split into blocks and each part is the disjunction of the
     block's isolating sentences (``scott.space_scott_sentence``)."""
-    from .scott import space_scott_sentence
     for _ in range(PARTITION_ATTEMPTS):
         n = rng.randint(2, 4)
         T = random_theory(rng, space, max_sentences=n, depth=3)

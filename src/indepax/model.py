@@ -601,9 +601,9 @@ class ModelSpace:
     signature: Signature
     max_size: int
     representatives: tuple[Structure, ...]
-    _satsets: dict = field(default_factory=dict, repr=False)
-    _elemsets: dict = field(default_factory=dict, repr=False)
-    _extra: dict = field(default_factory=dict, repr=False)
+    _satsets: dict = field(init=False, default_factory=dict, repr=False)
+    _elemsets: dict = field(init=False, default_factory=dict, repr=False)
+    _extra: dict = field(init=False, default_factory=dict, repr=False)
 
     @cached_property
     def full_mask(self) -> int:
@@ -761,6 +761,31 @@ def _canonical_keys(signature: Signature, size: int):
                 yield from walk(r + 1, fixed, prefix + (m,))
 
     return walk(0, rows, ())
+
+
+def canonical_key(M: Structure) -> tuple[int, ...]:
+    """M's least key: the least ``masks`` tuple over all permutations of its
+    universe.  Two structures of one size share it iff they are isomorphic,
+    and it is the key of the representative that ``enumerate_models``
+    generates for M's class.  Reads ``M.masks`` only, so it fills no
+    ``tables`` cache; takes ``M.size!`` relabelings."""
+    n = M.size
+    held = [_mask_table(mask, n, arity) for mask, (_name, arity)
+            in zip(M.masks, M.signature.relations)]
+
+    def relabeled(perm):
+        key = []
+        for tups in held:
+            m = 0
+            for tup in tups:
+                idx = 0
+                for v in tup:
+                    idx = idx * n + perm[v]
+                m |= 1 << idx
+            key.append(m)
+        return tuple(key)
+
+    return min(map(relabeled, itertools.permutations(range(n))))
 
 
 #: most labeled structures of one size that ``enumerate_models`` generates

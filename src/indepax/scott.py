@@ -1,6 +1,7 @@
-"""Back-and-forth type computation, Scott heights, Hintikka type formulas
-(Scott sentences, and sentences isolating a class within a space), and
-canonical isomorphism invariants for finite structures.
+"""Back-and-forth type computation, Scott heights, and Hintikka type
+formulas (Scott sentences, and sentences isolating a class within a space)
+for finite structures, plus a canonical isomorphism invariant: the digest
+of a structure's least key, the one ``model.enumerate_models`` generates.
 
 Levels are finite: a finite structure's tuple partition stabilizes after
 finitely many refinement rounds, so ordinals are plain naturals here.
@@ -25,7 +26,7 @@ from . import _kernel
 from .errors import (EnumerationOverflowError, MaterializationRefusedError,
                      PreconditionError, SignatureMismatchError)
 from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
-                    Sentence, Signature, Structure)
+                    Sentence, Signature, Structure, canonical_key)
 
 
 # Items are (structure, tuple) pairs, kept only as one array('i') of labels
@@ -153,17 +154,11 @@ def _fact_getters(size: int, k: int, arity: int) -> tuple[itemgetter, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
 def _atomic_codes(M: Structure, k: int) -> tuple[tuple, ...]:
     """Atomic type of every k-tuple of M, in ``itertools.product`` order:
     ``(k, equality pattern, facts)`` with one int per relation whose bits,
     first combination highest, say which position combinations hold.
-    Comparable across structures that share a signature.
-
-    Cached for the few most recent calls, enough for every length of one
-    structure, so ``canonical_invariant(M)`` and the self-partition behind
-    ``scott_height(M)`` compute each length's codes once; a joint partition
-    over many structures passes through without keeping their codes."""
+    Comparable across structures that share a signature."""
     pats = _eq_patterns(M.size, k)
     if k == 0 or not M.masks:
         facts = (0,) * len(M.masks)
@@ -278,33 +273,10 @@ def scott_height(M: Structure) -> int:
 # Canonical invariant
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8192)
 def canonical_invariant(M: Structure) -> str:
-    """Opaque token equal across structures iff they are isomorphic.
-
-    The stabilized tuple partition is the greatest fixpoint of one-element
-    refinement; on the length-layered tuple system that fixpoint is unique,
-    so one bottom-up pass assigns each stable class a canonical digest.  The
-    token is the digest of the empty tuple's class plus the size.
-    """
-    n = M.size
-    digests: dict[str, str] = {}
-    names: list[str] = []  # digests of the tuples of one length, by rank
-    for length in range(n, -1, -1):
-        below, names = names, []
-        for r, code in enumerate(_atomic_codes(M, length)):
-            payload = repr(code)
-            if length < n:
-                # the extensions of the tuple of rank r, in product order
-                kids = sorted(set(below[r * n:(r + 1) * n]))
-                payload += "|" + ",".join(kids)
-            name = digests.get(payload)
-            if name is None:
-                name = hashlib.sha256(payload.encode()).hexdigest()
-                digests[payload] = name
-            names.append(name)
-    token = f"{n}|{names[0]}"
-    return hashlib.sha256(token.encode()).hexdigest()
+    """Opaque token equal across structures iff they are isomorphic: the
+    digest of M's size and least key (``model.canonical_key``)."""
+    return hashlib.sha256(f"{M.size}|{canonical_key(M)}".encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

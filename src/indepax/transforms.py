@@ -32,7 +32,7 @@ class TransformReport:
 
     input: Theory
     output: Theory
-    method: str            # partition | reznikoff | complement | scott_filter | phi_star | driver
+    method: str            # partition | reznikoff | complement | scott_filter | driver
     bound: int
     equivalence_checked: bool
     independence_witnesses: tuple[Optional[Structure], ...]

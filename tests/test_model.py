@@ -289,6 +289,12 @@ class TestEnumeration:
             assert rep.masks == min(
                 rep.apply_permutation(p).masks
                 for p in itertools.permutations(range(rep.size)))
+        # and canonical_key finds that least key from the masks alone,
+        # without deriving the tables
+        for rep in binary_space.representatives:
+            fresh = model.Structure(rep.signature, rep.size, rep.masks)
+            assert model.canonical_key(fresh) == rep.masks
+            assert "tables" not in vars(fresh)
 
 
 class TestSpaceQueries:

@@ -452,18 +452,6 @@ class TestScottSentence:
                         got = scott.type_formula(M, tup, alpha, length=length)
                         assert got is ref(tup, alpha)
 
-    def test_wide_rows_read_one_tuple_at_a_time(self, monkeypatch):
-        # the cap on the partition's index tables must not change the
-        # formulas: the builder reads each tuple's code on its own
-        rng = random.Random("one-by-one")
-        structs = [random_structure(rng, SIGNATURES["ternary"], n)
-                   for n in (1, 2, 3)]
-        want = [scott.type_formula(M, (), 3) for M in structs]
-        scott._formula.cache_clear()
-        monkeypatch.setattr(scott, "MAX_FACT_TABLE_ENTRIES", 0)
-        got = [scott.type_formula(M, (), 3) for M in structs]
-        assert all(g is w for g, w in zip(got, want))
-
     def test_formulas_of_fuzz_space_are_pinned(self, ub_space):
         # every 12th class of the 792-class P/1 + R/2 space: its Scott
         # sentence and its elements' types at levels 0-3, as the per-tuple
@@ -541,25 +529,14 @@ class TestCanonicalInvariant:
             assert (scott.canonical_invariant(M) == scott.canonical_invariant(N)) \
                 == verify.oracle_isomorphic(M, N)[0]
 
-    def test_shares_atomic_codes_with_scott_height(self):
-        # a structure no other test builds, so every cache below misses
-        sig = Signature((("P", 1), ("R", 2), ("S", 2)))
-        M = Structure.make(sig, 4, {"P": [(3,)], "R": [(0, 1), (2, 2)],
-                                    "S": [(1, 3), (3, 0)]})
-        scott._atomic_codes.cache_clear()
-        scott.canonical_invariant(M)
-        scott.scott_height(M)
-        info = scott._atomic_codes.cache_info()
-        assert (info.misses, info.hits) == (5, 5)
-
     def test_invariants_of_fuzz_space_are_pinned(self, ub_space):
         # the digest of the 792 invariants of the P/1 + R/2 max-size-3
-        # space as computed with set-membership atomic types; a change to
-        # the payload text or to the atomic codes changes it
+        # space, each the digest of "size|least key"; a change to that
+        # text or to the least key changes it
         joined = "\n".join(scott.canonical_invariant(M)
                            for M in ub_space.representatives)
         assert hashlib.sha256(joined.encode()).hexdigest() == (
-            "95c29c0c093ee1175eba7f7fedcd4c2c03e06c16bf999ec67f48f1d8b61ae443")
+            "9d8133c9c349d0e869e48ade52a6aa507c3f3396a11acd01b79c9715457b5197")
 
 
 class TestAlphaTypes:
