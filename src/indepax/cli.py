@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterable
 from typing import Optional
 
 from . import __version__, generators, model, scott, setfam, transforms, verify
@@ -37,9 +38,9 @@ def _dump(report: dict, out_dir: Optional[str], name: str) -> None:
         sys.stdout.write("\n")
 
 
-def _space_for(theory: Theory, args) -> ModelSpace:
-    sig = infer_signature(theory.sentences)
-    return enumerate_models(sig, args.max_size, class_cap=args.cap_classes)
+def _space_for(sentences: Iterable[model.Sentence], args) -> ModelSpace:
+    return enumerate_models(infer_signature(sentences), args.max_size,
+                            class_cap=args.cap_classes)
 
 
 def _structure_json(s: Optional[model.Structure]):
@@ -67,26 +68,31 @@ def _transform_report_json(rep: transforms.TransformReport) -> dict:
 
 def cmd_scott(args) -> int:
     M = load_structure(args.structure)
-    report = scott.scott_report(M, cap=args.cap_materialize)
+    # the height first: its partition cap refuses an oversized structure
+    # before the sentence's literal caps would
+    height = scott.scott_height(M)
+    sentence = (scott.scott_sentence(M, args.cap_materialize)
+                if M.size <= args.cap_materialize else None)
+    invariant = scott.canonical_invariant(M)
     print(f"size: {M.size}")
-    print(f"scott height: {report.height}")
-    print(f"invariant: {report.invariant}")
+    print(f"scott height: {height}")
+    print(f"invariant: {invariant}")
     sentence_text = None
-    if report.sentence is not None:
-        sentence_text = to_sexpr(report.sentence)
+    if sentence is not None:
+        sentence_text = to_sexpr(sentence)
         print(f"scott sentence: {sentence_text}")
     else:
         print(f"scott sentence: not materialized (size > cap "
               f"{args.cap_materialize})")
-    _dump({"command": "scott", "size": M.size, "height": report.height,
-           "invariant": report.invariant, "sentence": sentence_text},
+    _dump({"command": "scott", "size": M.size, "height": height,
+           "invariant": invariant, "sentence": sentence_text},
           args.out, "scott.json")
     return 0
 
 
 def cmd_analyze(args) -> int:
     T = load_theory(args.theory)
-    space = _space_for(T, args)
+    space = _space_for(T.sentences, args)
     sentence = model.And(T.sentences)
     part = scott.space_partition(space)
     rows = []
@@ -111,8 +117,7 @@ def cmd_transform(args) -> int:
     parts = []
     if args.parts:
         parts = list(load_theory(args.parts).sentences)
-    sig = infer_signature(list(T.sentences) + extra_sentences + parts)
-    space = enumerate_models(sig, args.max_size, class_cap=args.cap_classes)
+    space = _space_for(list(T.sentences) + extra_sentences + parts, args)
 
     method = args.method
     if method == "auto":
@@ -140,7 +145,7 @@ def cmd_transform(args) -> int:
 def cmd_setfam(args) -> int:
     if args.from_theory:
         T = load_theory(args.from_theory)
-        space = _space_for(T, args)
+        space = _space_for(T.sentences, args)
         F = setfam.theory_to_family(T, space)
         print(f"family over universe {F.universe_size} "
               f"({len(F)} sets from {len(T)} sentences)")
@@ -177,8 +182,7 @@ def cmd_verify(args) -> int:
     if args.equivalent_to:
         other = load_theory(args.equivalent_to)
         sentences += list(other.sentences)
-    space = enumerate_models(infer_signature(sentences), args.max_size,
-                             class_cap=args.cap_classes)
+    space = _space_for(sentences, args)
     results = {}
     passed = True
     if args.independent:

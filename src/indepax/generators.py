@@ -10,8 +10,8 @@ from typing import Optional
 
 from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
                     Sentence, Signature, Theory)
-from .scott import (DEFAULT_MATERIALIZE_CAP, TypeId, space_partition,
-                    space_scott_sentence, type_formula)
+from .scott import (TypeId, space_partition, space_scott_sentence,
+                    type_formula)
 from .setfam import SetFamily
 
 FUZZ_SIGNATURE = Signature((("P", 1), ("R", 2)))
@@ -164,8 +164,6 @@ def random_type_instance(rng: random.Random, space: ModelSpace,
         for lab in chosen:
             si, e = realizers[lab]
             base[lab] = type_formula(space.representatives[si], (e,), level,
-                                     cap=max(DEFAULT_MATERIALIZE_CAP,
-                                             space.max_size),
                                      length=part.n_max)
         out = []
         for lab in chosen:

@@ -316,9 +316,6 @@ class Signature:
     def index(self) -> dict[str, int]:
         return {n: i for i, (n, _) in enumerate(self.relations)}
 
-    def arity(self, name: str) -> int:
-        return self.relations[self.index[name]][1]
-
 
 #: most cells (``size**arity``) a relation of a ``Structure.make`` input may
 #: have: its mask takes one bit per cell, so at most 2 MiB

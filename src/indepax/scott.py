@@ -3,6 +3,12 @@ formulas (Scott sentences, and sentences isolating a class within a space)
 for finite structures, plus a canonical isomorphism invariant: the digest
 of a structure's least key, the one ``model.enumerate_models`` generates.
 
+A type formula reads each literal of its atomic conjunctions straight from
+``Structure.masks``, and is bounded only by the literal caps
+``MAX_LITERAL_ATOMS`` and ``MAX_REACHED_ATOMS``.  The size cap
+(``DEFAULT_MATERIALIZE_CAP``, ``--cap-materialize`` on the command line)
+belongs to ``scott_sentence`` alone.
+
 Levels are finite: a finite structure's tuple partition stabilizes after
 finitely many refinement rounds, so ordinals are plain naturals here.
 Tuples run over lengths 0..n_max with n_max the largest structure size; a
@@ -263,7 +269,6 @@ def types_equal(M: Structure, a: Sequence[int], N: Structure,
     return labels[part._item_index(0, a)] == labels[part._item_index(1, b)]
 
 
-@lru_cache(maxsize=2048)
 def scott_height(M: Structure) -> int:
     """Least level at which the self-partition of M's tuples stabilizes."""
     return joint_type_partition((M,)).stabilization_level
@@ -284,53 +289,47 @@ def canonical_invariant(M: Structure) -> str:
 # ---------------------------------------------------------------------------
 
 DEFAULT_MATERIALIZE_CAP = 4
-# Building a Scott sentence peaks at about 1.4 KB of heap per atom of its
-# longest tuples' literals (R/16 at size 1: 65,537 atoms, 93 MB), so the
-# cap keeps one under about 140 MB.
+# Building a Hintikka formula takes about 1.4 KB of heap per atom of the
+# literals of its longest (k-)tuples (R/16 at size 1: 65,537 atoms, 93 MB),
+# which MAX_LITERAL_ATOMS keeps under about 140 MB.  It also holds one
+# atomic conjunction per distinct type of the up to n**(k - len(tup)) such
+# tuples it reaches, at about 9 bytes per atom each (scott_sentence at size
+# 4: R/5, 3,125 atoms times 1,024 tuples, 49 MB peak RSS; R/6, 15,625 times
+# 1,024, 166 MB), which MAX_REACHED_ATOMS keeps under about 90 MB.  Within
+# both, R/8 + S/7 + Q/7 at size 3 (98,304 atoms times 81) peaks at 194 MB.
 MAX_LITERAL_ATOMS = 100_000
-
-
-def _tuple_code(M: Structure, tup: tuple[int, ...]) -> tuple:
-    """The atomic type of one tuple of M, as ``_atomic_codes`` gives it."""
-    facts = []
-    for (_name, arity), mask in zip(M.signature.relations, M.masks):
-        cells = [0]  # bit indices of the position combinations, in order
-        for _ in range(arity):
-            cells = [c * M.size + v for c in cells for v in tup]
-        f = 0
-        for c in cells:
-            f = f << 1 | mask >> c & 1
-        facts.append(f)
-    return len(tup), tuple(map(tup.index, tup)), tuple(facts)
+MAX_REACHED_ATOMS = 10_000_000
 
 
 @lru_cache(maxsize=64)
 def _literals(signature: Signature, k: int) -> tuple[tuple, tuple]:
     """The literals of atomic types of k-tuples, each with its negation:
-    ``(i, j, x_i = x_j, not)`` for i < j, then ``(atom, not atom)`` per
-    relation and position combination, in product order."""
+    ``(i, j, x_i = x_j, not)`` for i < j, then per relation the pairs
+    ``(atom, not atom)`` of its position combinations, in product order."""
     eqs = [(i, j, Eq(f"x{i}", f"x{j}"), Not(Eq(f"x{i}", f"x{j}")))
            for i, j in itertools.combinations(range(k), 2)]
-    atoms = [(at, Not(at)) for name, arity in signature.relations
-             for at in (Atom(name, tuple(f"x{i}" for i in combo)) for combo
-                        in itertools.product(range(k), repeat=arity))]
+    atoms = [tuple((at, Not(at)) for at in (
+                 Atom(name, tuple(f"x{i}" for i in combo)) for combo
+                 in itertools.product(range(k), repeat=arity)))
+             for name, arity in signature.relations]
     return tuple(eqs), tuple(atoms)
 
 
-@lru_cache(maxsize=4096)
-def _atomic(signature: Signature, code: tuple) -> Sentence:
-    """The conjunction of the literals that an atomic code says hold; its
-    fact bits, first combination highest, run in the order of the atoms."""
-    k, pat, facts = code
-    eqs, atoms = _literals(signature, k)
-    conj = [pos if pat[i] == pat[j] else neg for i, j, pos, neg in eqs]
-    bits = "".join([format(f | 1 << k ** arity, "b")[1:]
-                    for f, (_name, arity) in zip(facts, signature.relations)])
-    return And(conj + [p if b == "1" else q for b, (p, q) in zip(bits, atoms)])
+def _atomic(M: Structure, tup: tuple[int, ...]) -> Sentence:
+    """The conjunction of the literals of ``_literals`` that hold at ``tup``
+    in M: each atom is decided by its cell's bit of ``M.masks``."""
+    eqs, atoms = _literals(M.signature, len(tup))
+    conj = [pos if tup[i] == tup[j] else neg for i, j, pos, neg in eqs]
+    for (_name, arity), mask, lits in zip(M.signature.relations, M.masks,
+                                          atoms):
+        cells = [0]  # bit indices of the position combinations, in order
+        for _ in range(arity):
+            cells = [c * M.size + v for c in cells for v in tup]
+        conj += [p if mask >> c & 1 else q for c, (p, q) in zip(cells, lits)]
+    return And(conj)
 
 
 def type_formula(M: Structure, tup: Sequence[int], alpha: int,
-                 cap: int = DEFAULT_MATERIALIZE_CAP,
                  length: Optional[int] = None) -> Sentence:
     """The rank-alpha Hintikka formula of a tuple in M, with free variables
     x0..x(len-1), whose extensions stop at tuples of ``length`` elements
@@ -338,28 +337,32 @@ def type_formula(M: Structure, tup: Sequence[int], alpha: int,
     (B, s) shares the tuple's level-alpha class in a joint partition whose
     length cap is ``length``: by induction on alpha, as the formula states
     the atomic type and the level-(alpha-1) classes of the one-element
-    extensions, both ways.
+    extensions, both ways.  Its literals are read from ``M.masks``.
 
-    Raises MaterializationRefusedError, before building anything, when M
-    is larger than ``cap`` or the literals of the longest tuples the
-    formula reaches take more than ``MAX_LITERAL_ATOMS`` atoms."""
-    if M.size > cap:
-        raise MaterializationRefusedError(
-            f"size {M.size} exceeds materialization cap {cap}; "
-            "the canonical invariant is still available")
+    Raises MaterializationRefusedError, before building anything, when the
+    literals of the longest tuples the formula reaches take more than
+    ``MAX_LITERAL_ATOMS`` atoms, or those atoms times the number of those
+    tuples exceed ``MAX_REACHED_ATOMS``.  M's size is not capped here; see
+    ``scott_sentence``."""
     tup = tuple(tup)
     if any(not (0 <= v < M.size) for v in tup):
         raise PreconditionError(f"tuple {tup} out of range")
     if length is None:
         length = M.size + 1
     # a relation of arity a has k**a atoms over k-tuples, and past 64 the
-    # arity cannot bring that under the cap unless k is 1
+    # arity cannot bring that under the cap unless k is 1; so too the
+    # exponent of the n**(k - len(tup)) reached tuples, unless n is 1
     k = max(len(tup), min(len(tup) + alpha, length))
     atoms = sum(k ** min(arity, 64) for _name, arity in M.signature.relations)
     if atoms > MAX_LITERAL_ATOMS:
         raise MaterializationRefusedError(
             f"the literals of {k}-tuples take {atoms} atoms, over cap "
             f"{MAX_LITERAL_ATOMS}")
+    reached = M.size ** min(k - len(tup), 64)
+    if atoms * reached > MAX_REACHED_ATOMS:
+        raise MaterializationRefusedError(
+            f"the literals of {reached} reached {k}-tuples take {atoms} "
+            f"atoms each, over cap {MAX_REACHED_ATOMS} in all")
     return _formula(M, tup, alpha, length)
 
 
@@ -368,7 +371,7 @@ def _formula(M: Structure, tup: tuple[int, ...], a: int,
              length: int) -> Sentence:
     """What ``type_formula`` returns.  The atomic conjunct comes first, so
     that a conjunction of these formulas fails fast on a wrong tuple."""
-    atomic = _atomic(M.signature, _tuple_code(M, tup))
+    atomic = _atomic(M, tup)
     if a == 0 or len(tup) >= length:
         return atomic
     x = f"x{len(tup)}"
@@ -383,26 +386,15 @@ def scott_sentence(M: Structure, cap: int = DEFAULT_MATERIALIZE_CAP) -> Sentence
     A structure satisfying it is (n+1)-round Ehrenfeucht-Fraisse equivalent
     to M, so it has no n+1 distinct elements (pigeonhole), and the answers
     to n rounds that pick every element of M map M onto it.
+
+    Raises MaterializationRefusedError when M is larger than ``cap``, and
+    as ``type_formula`` does.
     """
-    return type_formula(M, (), M.size + 1, cap)
-
-
-@dataclass(frozen=True)
-class ScottReport:
-    """Height, canonical invariant, and (if materialized) Scott sentence."""
-
-    structure: Structure
-    height: int
-    sentence: Optional[Sentence]
-    invariant: str
-
-
-def scott_report(M: Structure, cap: int = DEFAULT_MATERIALIZE_CAP) -> ScottReport:
-    # the height first: its partition cap refuses an oversized structure
-    # before the sentence's literal cap would
-    height = scott_height(M)
-    sentence = scott_sentence(M, cap) if M.size <= cap else None
-    return ScottReport(M, height, sentence, canonical_invariant(M))
+    if M.size > cap:
+        raise MaterializationRefusedError(
+            f"size {M.size} exceeds materialization cap {cap}; "
+            "the canonical invariant is still available")
+    return type_formula(M, (), M.size + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,6 @@ def space_scott_sentence(space: ModelSpace, rep_index: int) -> Sentence:
     if s is None:
         s = type_formula(space.representatives[rep_index], (),
                          levels[rep_index],
-                         cap=max(DEFAULT_MATERIALIZE_CAP, space.max_size),
                          length=space_partition(space).n_max)
         cache[rep_index] = s
         space._satsets[id(s)] = 1 << rep_index

@@ -252,6 +252,19 @@ class TestAtomicCodes:
                                  in itertools.product(range(n), repeat=k))
                     assert scott._atomic_codes(M, k) == want
 
+    def test_formula_atomic_nodes_match_level_zero_labels(self,
+                                                           binary_space):
+        # over every tuple of length <= 3 of the 116 classes of R/2 at
+        # max-size 3, two tuples share the type formulas' atomic conjunction
+        # iff they share an atomic type in the joint partition
+        reps = binary_space.representatives
+        part = scott.joint_type_partition(reps)
+        assert part.n_max == 3
+        pairs = {(scott._atomic(reps[si], tup), label) for (si, tup), label
+                 in zip(part.items, part.levels[0])}
+        assert len(pairs) == len({node for node, _ in pairs}) \
+            == len({label for _, label in pairs}) > 1
+
 
 class TestJointPartitionReference:
     @pytest.mark.parametrize("name", sorted(SIGNATURES))
@@ -435,6 +448,35 @@ class TestScottSentence:
         atom = "(atom R " + " ".join(["x0"] * 20) + ")"
         assert r.stdout == (f"{atom}\n"
                             f"(and (and) (exists x0 {atom}) (forall x0 {atom}))\n")
+
+    def test_reached_tuples_cap_is_inclusive(self, monkeypatch):
+        # the rank-3 Scott sentence of two elements reaches their 2**3
+        # triples, whose literals take 3**2 atoms each
+        M = Structure.make(Signature((("R", 2),)), 2, {"R": [(0, 1)]})
+        monkeypatch.setattr(scott, "MAX_REACHED_ATOMS", 72)
+        scott.scott_sentence(M)
+        monkeypatch.setattr(scott, "MAX_REACHED_ATOMS", 71)
+        with pytest.raises(MaterializationRefusedError,
+                           match="the literals of 8 reached 3-tuples take 9 "
+                                 "atoms each, over cap 71 in all"):
+            scott.scott_sentence(M)
+
+    def test_reached_tuples_cap_refuses_before_building(self, monkeypatch):
+        # R/7 on four elements: the 5**7 atoms of a 5-tuple's literals are
+        # under MAX_LITERAL_ATOMS, but the Scott sentence reaches 4**5 such
+        # tuples, about 750 MB of atomic conjunctions
+        rng = random.Random("reached")
+        M = random_structure(rng, Signature((("R", 7),)), 4)
+
+        def build(*args):
+            raise AssertionError("built past the cap")
+        monkeypatch.setattr(scott, "_formula", build)
+        with pytest.raises(MaterializationRefusedError,
+                           match="1024 reached 5-tuples take 78125 atoms"):
+            scott.scott_sentence(M)
+        monkeypatch.undo()
+        # R/5: 5**5 atoms times 4**5 tuples, about 50 MB peak RSS
+        scott.scott_sentence(random_structure(rng, Signature((("R", 5),)), 4))
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_matches_top_down_reference(self, arity):
