@@ -1,11 +1,15 @@
 """Pure-Python kernel: the hot inner loops of evaluation and refinement.
 
-A compiled sentence is a DAG of numbered nodes, each built once as a
-closure that evaluates it (Feeley & Lapalme 1987, "Using closures for code
+A compiled sentence is a DAG of nodes, each built once as a closure that
+evaluates it (Feeley & Lapalme 1987, "Using closures for code
 generation"): the compiler calls one constructor per node, so the choice of
 node kind is paid when the program is built, not per node per structure.
-A node's closure is shared by every program that contains the node with
-its free variables in the same slots.
+The choice of whether a node memoizes is paid there too, in the manner of
+loop-invariant code motion (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd ed.,
+section 9.5): ``model.compile_sentence`` gives an and, or or quantifier
+node a memo only where an enclosing loop or a second parent can reach it
+again with the same key, so that every node with a quantifier at or below
+it still runs at most once per key, and the rest run as plain loops.
 """
 
 from array import array
@@ -27,14 +31,20 @@ class Program:
               slot that any runner it reaches touches, built here or reused
 
     A runner is called as ``run(env, ctx)``.  ``env`` is a list of slot
-    values, free slots first; a quantifier node binds its slot and restores
-    the slot's value before it returns, so a runner built at one quantifier
-    depth may run at any other.  ``ctx`` is ``(size, masks, memo)``, made
-    fresh per evaluation: relation ``r`` holds the tuples set in
-    ``masks[r]`` and ``memo`` maps (node number, values of the node's used
-    slots) to the node's truth value.  Runners hold no mutable state of
-    their own, so threads and programs may share them.  A runner's result
-    is truthy iff the node holds.
+    values, free slots first; a quantifier node binds its slot and leaves
+    it at the last value tried, so the compiler wraps a runner in
+    ``restore`` where it runs below a live slot that it binds.  ``ctx`` is
+    ``(size, masks, memo)``, made fresh per evaluation: relation ``r``
+    holds the tuples set in ``masks[r]`` and ``memo`` maps (node number,
+    values of the node's used slots) to the truth value of a memoizing
+    node.  A node memoizes iff (a) it has two or more parents, counted
+    through ``Not``, and is not a conjunction or disjunction of literals,
+    or (b) it has a quantifier at or below it and an enclosing quantifier
+    binds a slot outside its free variables'; then every node with a
+    quantifier at or below it runs at most once per key (see
+    ``model.compile_sentence``).  Runners hold no mutable state of their
+    own, so threads and programs may share them.  A runner's result is
+    truthy iff the node holds.
     """
 
     ops: list[Callable] = field(default_factory=list)
@@ -44,8 +54,7 @@ class Program:
 
 # Node constructors, one per node kind, each returning the node's runner.
 # ``rel`` is a relation index and ``slot``/``slots``/``a``/``b`` are env
-# slots; ``i`` is the node's number, unique in the process, which keys its
-# memo entries, and ``used`` lists, sorted, the env slots its subtree reads.
+# slots.
 
 def atom(rel: int, slots: tuple[int, ...]) -> Callable:
     # bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left)
@@ -81,95 +90,136 @@ def not_(child: Callable) -> Callable:
     return run
 
 
-# The memoised nodes below look up their memo inline, not through a shared
-# wrapper, and loop over children in plain ``for`` loops, not all()/any()
-# over a generator: either would add stack frames per nesting level, and
-# the deepest chains the parser accepts would then overflow.
+# And, or and the quantifiers come in two bodies.  With ``memo`` given, as
+# (the node's number, unique in the process, which keys its memo entries,
+# and the sorted env slots its subtree reads), the runner looks its memo up
+# inline, not through a shared wrapper; with ``memo`` None it is a plain
+# loop with no key.  Children are looped over in plain ``for`` loops, not
+# all()/any() over a generator: either would add stack frames per nesting
+# level, and the deepest chains the parser accepts would then overflow.
 
-def _key_getter(used):
-    """Values of the used slots from ``env``; None for a closed node, whose
-    memo key is the node number alone."""
-    return itemgetter(*used) if used else None
+def _memo_key(memo):
+    """The node's number and a getter of its used slots' values from
+    ``env``; no getter for a closed node, whose memo key is the number."""
+    i, used = memo
+    return i, (itemgetter(*used) if used else None)
 
 
-def and_(i: int, children: tuple[Callable, ...],
-         used: tuple[int, ...]) -> Callable:
-    get = _key_getter(used)
+def and_(children: tuple[Callable, ...],
+         memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
+    if memo is None:
+        def run(env, ctx):
+            for c in children:
+                if not c(env, ctx):
+                    return False
+            return True
+        return run
+    i, get = _memo_key(memo)
 
     def run(env, ctx):
         key = (i, get(env)) if get else i
-        memo = ctx[2]
-        res = memo.get(key)
+        results = ctx[2]
+        res = results.get(key)
         if res is None:
             res = True
             for c in children:
                 if not c(env, ctx):
                     res = False
                     break
-            memo[key] = res
+            results[key] = res
         return res
     return run
 
 
-def or_(i: int, children: tuple[Callable, ...],
-        used: tuple[int, ...]) -> Callable:
-    get = _key_getter(used)
+def or_(children: tuple[Callable, ...],
+        memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
+    if memo is None:
+        def run(env, ctx):
+            for c in children:
+                if c(env, ctx):
+                    return True
+            return False
+        return run
+    i, get = _memo_key(memo)
 
     def run(env, ctx):
         key = (i, get(env)) if get else i
-        memo = ctx[2]
-        res = memo.get(key)
+        results = ctx[2]
+        res = results.get(key)
         if res is None:
             res = False
             for c in children:
                 if c(env, ctx):
                     res = True
                     break
-            memo[key] = res
+            results[key] = res
         return res
     return run
 
 
-def exists(i: int, child: Callable, slot: int,
-           used: tuple[int, ...]) -> Callable:
-    get = _key_getter(used)
+def exists(child: Callable, slot: int,
+           memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
+    if memo is None:
+        def run(env, ctx):
+            for v in range(ctx[0]):
+                env[slot] = v
+                if child(env, ctx):
+                    return True
+            return False
+        return run
+    i, get = _memo_key(memo)
 
     def run(env, ctx):
         key = (i, get(env)) if get else i
-        memo = ctx[2]
-        res = memo.get(key)
+        results = ctx[2]
+        res = results.get(key)
         if res is None:
             res = False
-            saved = env[slot]
             for v in range(ctx[0]):
                 env[slot] = v
                 if child(env, ctx):
                     res = True
                     break
-            env[slot] = saved
-            memo[key] = res
+            results[key] = res
         return res
     return run
 
 
-def forall(i: int, child: Callable, slot: int,
-           used: tuple[int, ...]) -> Callable:
-    get = _key_getter(used)
+def forall(child: Callable, slot: int,
+           memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
+    if memo is None:
+        def run(env, ctx):
+            for v in range(ctx[0]):
+                env[slot] = v
+                if not child(env, ctx):
+                    return False
+            return True
+        return run
+    i, get = _memo_key(memo)
 
     def run(env, ctx):
         key = (i, get(env)) if get else i
-        memo = ctx[2]
-        res = memo.get(key)
+        results = ctx[2]
+        res = results.get(key)
         if res is None:
             res = True
-            saved = env[slot]
             for v in range(ctx[0]):
                 env[slot] = v
                 if not child(env, ctx):
                     res = False
                     break
-            env[slot] = saved
-            memo[key] = res
+            results[key] = res
+        return res
+    return run
+
+
+def restore(child: Callable, low: int, high: int) -> Callable:
+    """``child``, with env slots ``low..high-1`` saved before it runs and
+    put back after: for a runner reused below live slots that it binds."""
+    def run(env, ctx):
+        saved = env[low:high]
+        res = child(env, ctx)
+        env[low:high] = saved
         return res
     return run
 
@@ -180,7 +230,7 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
     whose relation ``r`` holds the tuples set in ``masks[r]``.
 
     ``env0`` fills the free slots; quantifier nodes extend the environment.
-    AND/OR/quantifier results are memoised on the slots their subtree reads.
+    A memoizing node's results are memoised on the slots its subtree reads.
     """
     env = [*env0, *[0] * (prog.nslots - len(env0))]
     return bool(prog.run(env, (size, masks, {})))

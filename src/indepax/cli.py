@@ -22,7 +22,15 @@ from .errors import (IndepaxError, MalformedSentenceError, ParseError,
                      VerificationInternalError)
 from .model import (ModelSpace, Theory, enumerate_models, infer_signature,
                     load_structure, load_theory, structure_to_json,
-                    theory_to_json, to_sexpr)
+                    sexpr_length, theory_to_json, to_sexpr)
+
+# The Scott sentence's text writes its DAG out as a tree.  ``indepax scott``
+# holds it once as a string and prints it twice, peaking at about 35 MB
+# plus 5.5 bytes per character (a 25,579,372-character sentence of a
+# size-4 P/1 + R/2 structure: 175 MB peak RSS; a 127,297,120-character one
+# of a size-4 P/1 + R/2 + T/3 structure: 733 MB), so the cap keeps the
+# command under about 220 MB.
+MAX_SCOTT_TEXT = 1 << 25
 
 
 def _dump(report: dict, out_dir: Optional[str], name: str) -> None:
@@ -78,12 +86,15 @@ def cmd_scott(args) -> int:
     print(f"scott height: {height}")
     print(f"invariant: {invariant}")
     sentence_text = None
-    if sentence is not None:
-        sentence_text = to_sexpr(sentence)
-        print(f"scott sentence: {sentence_text}")
-    else:
+    if sentence is None:
         print(f"scott sentence: not materialized (size > cap "
               f"{args.cap_materialize})")
+    elif (length := sexpr_length(sentence)) > MAX_SCOTT_TEXT:
+        print(f"scott sentence: not materialized (text of {length} "
+              f"characters exceeds cap {MAX_SCOTT_TEXT})")
+    else:
+        sentence_text = to_sexpr(sentence)
+        print(f"scott sentence: {sentence_text}")
     _dump({"command": "scott", "size": M.size, "height": height,
            "invariant": invariant, "sentence": sentence_text},
           args.out, "scott.json")

@@ -15,6 +15,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import inf
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import _kernel
@@ -149,6 +150,62 @@ CONTRADICTION = Exists("x", Not(Eq("x", "x")))
 TAUTOLOGY = Exists("x", Eq("x", "x"))
 
 
+def _children(node: Sentence) -> tuple[Sentence, ...]:
+    kind = type(node)
+    if kind is And or kind is Or:
+        return node.children
+    if kind is Not or kind is Exists or kind is Forall:
+        return (node.child,)
+    if kind is Atom or kind is Eq:
+        return ()
+    raise MalformedSentenceError(f"not a formula node: {node!r}")
+
+
+def _postorder(sentence: Sentence) -> list[Sentence]:
+    """The distinct nodes of ``sentence``, each after all of its children.
+    Iterative, so chains of any depth are walked."""
+    order: list[Sentence] = []
+    done: dict = {}  # False while a node's children are walked, then True
+    stack = [sentence]
+    while stack:
+        node = stack[-1]
+        state = done.get(node)
+        if state is None:
+            done[node] = False
+            stack += [c for c in _children(node) if c not in done]
+        else:
+            stack.pop()
+            if not state:
+                done[node] = True
+                order.append(node)
+    return order
+
+
+def _parent_counts(sentence: Sentence) -> dict:
+    """Per distinct node of ``sentence``, the number of distinct nodes that
+    have it as a child.  Iterative, like ``_postorder``."""
+    parents = {sentence: 0}
+    stack = [sentence]
+    while stack:
+        for c in _children(stack.pop()):
+            n = parents.get(c)
+            if n is None:
+                parents[c] = 1
+                stack.append(c)
+            else:
+                parents[c] = n + 1
+    return parents
+
+
+def quantifier_rank(sentence: Sentence) -> int:
+    """The greatest number of quantifiers on one root-to-leaf path."""
+    rank: dict = {}
+    for node in _postorder(sentence):
+        below = max(map(rank.__getitem__, _children(node)), default=0)
+        rank[node] = below + (type(node) in (Exists, Forall))
+    return rank[sentence]
+
+
 # ---------------------------------------------------------------------------
 # s-expression text format
 # ---------------------------------------------------------------------------
@@ -179,6 +236,28 @@ def to_sexpr(sentence: Sentence) -> str:
         else:
             raise MalformedSentenceError(f"not a sentence node: {x!r}")
     return "".join(out)
+
+
+def sexpr_length(sentence: Sentence) -> int:
+    """``len(to_sexpr(sentence))``, counted over the distinct nodes: the
+    text writes a shared DAG out as a tree, which can be exponentially
+    longer than the DAG."""
+    length: dict = {}
+    for node in _postorder(sentence):
+        kind = type(node)
+        if kind is Atom:
+            n = 7 + len(node.rel) + sum(1 + len(a) for a in node.args)
+        elif kind is Eq:
+            n = 6 + len(node.left) + len(node.right)
+        elif kind is Not:
+            n = 6 + length[node.child]
+        elif kind is And or kind is Or:
+            n = (5 if kind is And else 4) + sum(
+                1 + length[c] for c in node.children)
+        else:
+            n = 10 + len(node.var) + length[node.child]
+        length[node] = n
+    return length[sentence]
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
@@ -419,9 +498,10 @@ PROGRAM_CACHE_SIZE = 32
 
 class _RunnerRef(weakref.ref):
     """A ``_RUNNERS`` entry: a weak reference to a shared runner, with the
-    deepest env slot the runner's subtree touches and the entry's place."""
+    deepest env slot the runner's subtree touches, the lowest slot it binds
+    (``inf`` if it binds none), and the entry's place."""
 
-    __slots__ = ("top", "table", "key")
+    __slots__ = ("top", "low", "table", "key")
 
 
 def _forget_runner(ref: _RunnerRef) -> None:
@@ -432,16 +512,25 @@ def _forget_runner(ref: _RunnerRef) -> None:
         del ref.table[ref.key]
 
 
-#: runners shared by every compiled program: per signature, a table from
-#: (node, slots of the node's free variables in ``node.free`` order) to a
-#: ``_RunnerRef``.  A runner lives while a cached program reaches it, and
-#: its entry goes with it; a signature's table stays, as signatures are
-#: few.  Keying each table by signature hashes the signature once per
-#: compilation, not once per node.
+#: runners shared by every compiled program: per signature, a table from a
+#: key to a ``_RunnerRef``.  A runner that serves every context has the key
+#: (node, slots of the node's free variables in ``node.free`` order); a
+#: program's plain root, memo-free where its node could memoize, has
+#: (node, False, number of free slots, slots...).  A runner lives while a
+#: cached program reaches it, and its entry goes with it; a signature's
+#: table stays, as signatures are few.  Keying each table by signature
+#: hashes the signature once per compilation, not once per node.
 _RUNNERS: dict[Signature, dict[tuple, _RunnerRef]] = {}
-#: memo numbers of the memoised runners, unique in the process, so that
+#: memo numbers of the memoizing runners, unique in the process, so that
 #: runners from different compilations never share a memo key
 _NODE_NUMBERS = itertools.count()
+
+
+def _is_literal(node: Sentence) -> bool:
+    kind = type(node)
+    if kind is Not:
+        kind = type(node.child)
+    return kind is Atom or kind is Eq
 
 
 @lru_cache(maxsize=PROGRAM_CACHE_SIZE)
@@ -451,11 +540,49 @@ def compile_sentence(sentence: Sentence, signature: Signature,
     ``0..len(free_order)-1`` hold the free variables in that order.  The
     ``PROGRAM_CACHE_SIZE`` most recently used programs are cached.
 
-    A node's runner depends only on the node, the signature and the slots
-    of the node's free variables, so it is built once and reused, through
-    ``_RUNNERS``, by every program that reaches the node with that key,
-    at whatever quantifier depth: a quantifier runner restores the slot it
-    binds.  ``Program.ops`` lists the runners this call built."""
+    The rule: an and, or, exists or forall node N memoizes iff
+      (a) N has two or more parents in the sentence's DAG, a parent that is
+          a ``Not`` counting as often as the ``Not`` itself counts (a
+          ``Not`` has no memo), and N is not a conjunction or disjunction of
+          literals; or
+      (b) N has a quantifier at or below it, and some slot that an
+          enclosing quantifier binds, a shadowed one included, is not a
+          slot of N's free variables.
+    Every other runner is a plain loop with no memo.
+
+    The bound: a runner with a quantifier at or below it runs its body at
+    most once per distinct key (the runner and the values of its free
+    variables' slots), and a quantifier-free one costs at most its DAG size
+    per call, so shared DAGs and the deepest chains the parser admits stay
+    polynomial.  Memoizing runners keep it by their memo.  For a plain
+    runner N, by induction from the root, which runs once: N has one parent
+    runner P (past any ``Not``), so N runs at most once per body run of P
+    and value of the slot P binds, hence at most once per live environment
+    if P's body runs at most once per live environment of P.  It does: P
+    is plain with a quantifier at or below it (induction), or memoizing by
+    (a) with every enclosing quantifier's slot among its free variables'
+    (P cannot memoize by (b), for the slot that P leaves out would make N
+    memoize).  With (b) false, N's key fixes its live environment, as the
+    other live slots hold the free variables' fixed values; so N runs at
+    most once per key, and a memo could never hit.  A conjunction or
+    disjunction of literals costs its own size per call, against a lookup
+    per call.  Whether a quantifier lies at or below N is read off the
+    lowest slot that N's subtree binds.
+
+    Sharing: a runner is built once per key and reused through
+    ``_RUNNERS`` by every program that reaches the node with that key.  A
+    memoizing runner, or one that never memoizes (an atom, an equality, a
+    conjunction or disjunction of literals, a ``Not`` over such a runner),
+    serves every context and is looked up first.  A plain runner has one
+    parent runner: only a program's plain root has an entry, and the first
+    parent that reaches it in another program takes the entry over, in the
+    context its key fixes; any other parent builds its own.  Beneath a
+    memoizing runner that another program built in another context, a
+    plain runner runs at most once per key of its own per key of that
+    runner.  A quantifier runner leaves its slot at the last value it
+    tried, so a runner reused below live env slots that its subtree binds
+    is wrapped to put them back.  ``Program.ops`` lists the node runners
+    this call built."""
     missing = sentence.free - set(free_order)
     if missing:
         raise MalformedSentenceError(
@@ -465,58 +592,102 @@ def compile_sentence(sentence: Sentence, signature: Signature,
     ops = prog.ops
     rel_index = signature.index
     arities = dict(signature.relations)
+    parents = _parent_counts(sentence)
+    nfree = len(free_order)
 
-    def rec(node: Sentence, binding: dict[str, int],
-            next_slot: int) -> tuple[Callable, int]:
-        """The node's runner and the deepest env slot its subtree touches."""
+    def uncovered(key: tuple, next_slot: int) -> bool:
+        """Whether an enclosing quantifier's slot (at or past ``nfree``)
+        lies outside the slots in ``key``: rule (b), given a quantifier at
+        or below the node."""
+        return sum(s >= nfree for s in key[1:]) < next_slot - nfree
+
+    def rec(node: Sentence, binding: dict[str, int], next_slot: int,
+            shared: bool = False) -> tuple[Callable, int, float, bool]:
+        """The node's runner, the deepest env slot its subtree touches, the
+        lowest slot it binds (``inf``: none, so no quantifier at or below
+        it), and whether it is plain.  ``shared``: the node is the child of
+        a ``Not`` that rule (a) counts twice or more."""
         key = (node, *map(binding.__getitem__, node.free))
         ref = table.get(key)
         if ref is not None:
             run = ref()
             if run is not None:
-                return run, ref.top
-        if isinstance(node, Atom):
+                if ref.low < next_slot:
+                    run = pure.restore(run, ref.low, next_slot)
+                return run, ref.top, ref.low, False
+        shared = shared or parents[node] > 1
+        if not shared:
+            # only a program's plain root has an entry, with the slots of
+            # its free variables all below nfree; a parent adopts it by
+            # taking the entry, unless rule (b) holds here
+            plain_key = (node, False, nfree, *key[1:])
+            ref = table.get(plain_key)
+            if ref is not None and not (ref.low < inf
+                                        and next_slot > nfree):
+                if node is not sentence:
+                    ref = table.pop(plain_key, None)
+                run = ref and ref()
+                if run is not None:
+                    return run, ref.top, ref.low, True
+        kind = type(node)
+        plain = False
+        low = inf
+        if kind is Atom:
             if node.rel not in rel_index:
                 raise MalformedSentenceError(f"unknown relation {node.rel!r}")
             if len(node.args) != arities[node.rel]:
                 raise MalformedSentenceError(
                     f"relation {node.rel} expects {arities[node.rel]} "
                     f"arguments, got {len(node.args)}")
-            slots = tuple(binding[v] for v in node.args)
-            run, top = pure.atom(rel_index[node.rel], slots), max(slots)
-        elif isinstance(node, Eq):
+            args = tuple(binding[v] for v in node.args)
+            run, top = pure.atom(rel_index[node.rel], args), max(args)
+        elif kind is Eq:
             a, b = binding[node.left], binding[node.right]
             run, top = pure.eq(a, b), max(a, b)
-        elif isinstance(node, Not):
-            child, top = rec(node.child, binding, next_slot)
+        elif kind is Not:
+            child, top, low, plain = rec(node.child, binding, next_slot,
+                                         shared)
             run = pure.not_(child)
-        elif isinstance(node, (And, Or)):
+        elif kind is And or kind is Or:
             kids = [rec(c, binding, next_slot) for c in node.children]
-            top = max((t for _run, t in kids), default=-1)
-            make = pure.and_ if isinstance(node, And) else pure.or_
-            # the slots the subtree reads are its free variables' slots
-            run = make(next(_NODE_NUMBERS), tuple(r for r, _top in kids),
-                       tuple(sorted(key[1:])))
-        elif isinstance(node, (Exists, Forall)):
+            top = max((k[1] for k in kids), default=-1)
+            low = min((k[2] for k in kids), default=inf)
+            make = pure.and_ if kind is And else pure.or_
+            runs = tuple(k[0] for k in kids)
+            if all(map(_is_literal, node.children)):
+                # serves every context: it never memoizes
+                run = make(runs)
+            elif shared or (low < inf and uncovered(key, next_slot)):
+                # the slots the subtree reads are its free variables' slots
+                run = make(runs,
+                           (next(_NODE_NUMBERS), tuple(sorted(key[1:]))))
+            else:
+                run, plain = make(runs), True
+        else:  # Exists or Forall
             inner = dict(binding)
             inner[node.var] = next_slot
-            child, top = rec(node.child, inner, next_slot + 1)
-            top = max(top, next_slot)
-            make = pure.exists if isinstance(node, Exists) else pure.forall
-            run = make(next(_NODE_NUMBERS), child, next_slot,
-                       tuple(sorted(key[1:])))
-        else:
-            raise MalformedSentenceError(f"not a formula node: {node!r}")
+            child, top, low, _plain = rec(node.child, inner, next_slot + 1)
+            top, low = max(top, next_slot), next_slot
+            make = pure.exists if kind is Exists else pure.forall
+            if shared or uncovered(key, next_slot):
+                run = make(child, next_slot,
+                           (next(_NODE_NUMBERS), tuple(sorted(key[1:]))))
+            else:
+                run, plain = make(child, next_slot), True
         ops.append(run)
+        if plain and node is not sentence:
+            # its parent is the one runner that calls it
+            return run, top, low, True
         # filled in before it is published: another thread may look it up
         ref = _RunnerRef(run, _forget_runner)
-        ref.top, ref.table, ref.key = top, table, key
-        table[key] = ref
-        return run, top
+        ref.top, ref.low, ref.table = top, low, table
+        ref.key = (node, False, nfree, *key[1:]) if plain else key
+        table[ref.key] = ref
+        return run, top, low, plain
 
     base = {v: i for i, v in enumerate(free_order)}
-    prog.run, top = rec(sentence, base, len(free_order))
-    prog.nslots = max(top + 1, len(free_order))
+    prog.run, top, _low, _plain = rec(sentence, base, nfree)
+    prog.nslots = max(top + 1, nfree)
     # rec reaches itself through its closure: unbinding it frees rec now
     # instead of at the next cyclic garbage collection
     del rec

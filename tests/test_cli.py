@@ -59,6 +59,28 @@ class TestScottCommand:
         from indepax.model import parse_sentence
         parse_sentence(report["sentence"])
 
+    def test_long_sentence_text_is_not_materialized(self, tmp_path):
+        # a small DAG whose text would be 127,297,120 characters, printed
+        # twice: the count over the DAG refuses it before any is written
+        from indepax.cli import MAX_SCOTT_TEXT
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps({
+            "signature": [{"name": "P", "arity": 1}, {"name": "R", "arity": 2},
+                          {"name": "T", "arity": 3}],
+            "size": 4,
+            "relations": {
+                "P": [[0], [3]],
+                "R": [[1, 0], [1, 1], [2, 1], [3, 0], [3, 3]],
+                "T": [[0, 0, 0], [0, 1, 2], [0, 3, 3], [1, 1, 2], [2, 1, 0],
+                      [3, 0, 3], [3, 1, 0]]}}))
+        r = run_cli("scott", str(path), "--out", str(tmp_path),
+                    max_bytes=1 << 30, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert ("scott sentence: not materialized (text of 127297120 "
+                f"characters exceeds cap {MAX_SCOTT_TEXT})") in r.stdout
+        report = json.loads((tmp_path / "scott.json").read_text())
+        assert report["sentence"] is None and report["size"] == 4
+
     def test_cap_refusal_mentions_invariant(self, files, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({

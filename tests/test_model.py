@@ -92,6 +92,16 @@ class TestAst:
             s = parse_sentence(t)
             assert parse_sentence(to_sexpr(s)) is s
 
+    def test_sexpr_length_is_the_text_length(self, ub_space):
+        import random
+        from indepax import generators
+        rng = random.Random(59)
+        sentences = [generators.random_formula(rng, 6) for _ in range(200)]
+        sentences += [scott.scott_sentence(M)
+                      for M in ub_space.representatives[::80]]
+        for s in sentences:
+            assert model.sexpr_length(s) == len(to_sexpr(s))
+
     @pytest.mark.parametrize("bad, pos_known", [
         (bad, position is not None)
         for bad, (_message, position) in PARSE_ERRORS.items()])
@@ -564,6 +574,156 @@ class TestProgramCache:
         model.compile_sentence.cache_clear()
         gc.collect()
         assert not any(model._RUNNERS.values())
+
+
+# Sentences whose tree expansion no evaluation could walk: each binds
+# ``sentence`` and calls ``prepare`` on what a run compiles first.
+#: 60 levels, each reaching the one below twice: a DAG of 2**60 paths
+_SHARED_DAG = """
+from indepax.model import And, Atom, Exists, Not, Or
+body = Exists("y", Atom("R", ("x", "y")))
+for _ in range(60):
+    body = Or([And([body, Not(Atom("P", ("x",)))]),
+               And([body, Atom("P", ("x",))])])
+sentence = Exists("x", body)
+"""
+#: 300 foralls over a closed exists, n**300 environments in a tree walk
+_QUANTIFIER_TOWER = """
+from indepax.model import Atom, Exists, Forall
+sentence = Exists("y", Atom("P", ("y",)))
+for i in range(300):
+    sentence = Forall(f"x{i}", sentence)
+"""
+#: the same 2**60 paths, made of plain runners that separate programs
+#: built: each level's sentence is compiled, then two sentences that put
+#: it under a parent of their own, then their conjunction
+_ADOPTED_CHAIN = """
+from indepax.model import And, Atom, Exists
+top = Exists("x", Atom("P", ("x",)))
+prepare(top)
+for _ in range(60):
+    a = And([top, Exists("z", Atom("P", ("z",)))])
+    b = And([top, Exists("z", Atom("R", ("z", "z")))])
+    prepare(a)
+    prepare(b)
+    top = And([a, b])
+    prepare(top)
+sentence = top
+"""
+
+
+def _eval_in_child(builder, structures, timeout=60):
+    """``model.eval`` of the ``sentence`` that the code ``builder`` binds,
+    with ``prepare`` compiling, over ``structures``, in a fresh child
+    process held to 1 GiB of address space and stopped after ``timeout``
+    seconds (which fails the test with ``TimeoutExpired``)."""
+    import ast
+    import os
+    import resource
+    import subprocess
+    import sys
+    sig = structures[0].signature
+    cells = [(M.size, M.masks) for M in structures]
+    script = (f"from indepax import model\n"
+              f"sig = model.Signature({sig.relations!r})\n"
+              f"def prepare(s):\n"
+              f"    model.compile_sentence(s, sig, ())\n" + builder +
+              f"print([model.eval(model.Structure(sig, n, masks), sentence)"
+              f" for n, masks in {cells!r}])\n")
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=env, preexec_fn=limit, timeout=timeout)
+    assert r.returncode == 0, r.stderr[-2000:]
+    return ast.literal_eval(r.stdout)
+
+
+def _built(builder):
+    """The ``sentence`` that ``builder`` binds, compiling nothing."""
+    namespace = {"prepare": lambda s: None}
+    exec(builder, namespace)
+    return namespace["sentence"]
+
+
+class TestMemoRule:
+    """A runner memoizes only where a key can repeat, and the bound holds:
+    DAGs far larger as trees evaluate in a child process under a timeout,
+    as ``reference_holds`` answers."""
+
+    @pytest.mark.parametrize("text, memoizes", [
+        # the forall's slot is the or's; the or is a disjunction of
+        # literals, and the root runs once
+        ("(exists x (forall y (or (atom R x y) (atom P y))))", False),
+        # the closed exists runs under a forall whose slot it never reads
+        ("(forall x (exists y (atom P y)))", True),
+    ])
+    def test_memo_only_where_a_key_can_repeat(self, ub_space, text,
+                                              memoizes):
+        prog = _compile_fresh(parse_sentence(text), ub_space.signature, ())
+        for M in ub_space.representatives[::50]:
+            memo = {}
+            prog.run([0] * prog.nslots, (M.size, M.masks, memo))
+            assert bool(memo) == memoizes
+
+    @pytest.mark.parametrize("builder", [_SHARED_DAG, _QUANTIFIER_TOWER,
+                                         _ADOPTED_CHAIN],
+                             ids=["shared-dag", "quantifier-tower",
+                                  "adopted-chain"])
+    def test_deep_sentences_evaluate_within_the_bound(self, ub_space,
+                                                      builder):
+        sentence = _built(builder)
+        reps = ub_space.representatives[::40]
+        assert _eval_in_child(builder, reps) == [reference_holds(M, sentence)
+                                                 for M in reps]
+
+    def test_dag_expansions_are_large(self):
+        for builder in (_SHARED_DAG, _ADOPTED_CHAIN):
+            assert model.sexpr_length(_built(builder)) > 2 ** 60
+
+
+class TestQuantifierRank:
+    @staticmethod
+    def reference(f):
+        if isinstance(f, (Atom, Eq)):
+            return 0
+        if isinstance(f, (And, Or)):
+            return max(map(TestQuantifierRank.reference, f.children),
+                       default=0)
+        return (TestQuantifierRank.reference(f.child)
+                + isinstance(f, (Exists, Forall)))
+
+    def test_matches_recursive_reference(self):
+        import random
+        from indepax import generators
+        rng = random.Random(53)
+        for depth in range(1, 8):
+            for _ in range(40):
+                f = generators.random_formula(rng, depth, ("x",)[:depth % 2])
+                assert model.quantifier_rank(f) == self.reference(f)
+
+    def test_deepest_property_examples(self):
+        # the three deepest ``@example``s of test_properties.py: a chain of
+        # 398 ands, and 199 quantifiers under the outer exists
+        from test_properties import (_QUANTIFIER_CHAIN, CASES,
+                                     nesting_text)
+        examples = [
+            ("P/1 + R/2",
+             [("and", 0, ("other", 0, 0, 0))] * (model.MAX_PARSE_DEPTH - 2),
+             ("unary", 0, 0, 0)),
+            ("P/1 + R/2", _QUANTIFIER_CHAIN, ("other", 1, 2, 0)),
+            ("Q/1 + T/3", _QUANTIFIER_CHAIN, ("other", 1, 2, 0)),
+        ]
+        ranks = []
+        for case, spine, leaf in examples:
+            sig = Signature(CASES[case][0])
+            s = parse_sentence(nesting_text(spine, leaf, sig))
+            assert model.quantifier_rank(s) == self.reference(s)
+            ranks.append(model.quantifier_rank(s))
+        assert ranks == [1, 200, 200]
 
 
 def _compile_fresh(sentence, signature, free_order):
