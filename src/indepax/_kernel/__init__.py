@@ -8,16 +8,9 @@ A ``Program`` reaches one runner closure per node, built by the node
 constructors of ``pure`` (``atom``, ``eq``, ``not_``, ``and_``, ``or_``,
 ``exists``, ``forall``), and holds the root's as ``Program.run``.  Runners
 are shared between programs: ``Program.ops`` lists only those its own
-compilation built.  An and, or or quantifier runner memoizes only where
-its node can be reached again with the same key: where it has two or more
-parents (counted through ``not``) and is not a conjunction or disjunction
-of literals, or where it has a quantifier at or below it and an enclosing
-quantifier binds a slot outside its free variables'.  Every node with a
-quantifier at or below it still runs at most once per key, and a
-quantifier-free one costs at most its DAG size per call (the argument is
-in ``model.compile_sentence``).  Memo numbers are unique in the process; a
-quantifier runner leaves its slot at the last value tried, and a shared
-runner that runs below a live slot it binds is wrapped in ``pure.restore``.
+compilation built.  ``model.compile_sentence`` wraps the runners of the
+nodes it memoizes in ``pure.memoize`` (the rule is stated there), and a
+shared runner that runs below a live slot it binds in ``pure.restore``.
 ``active.eval_program(prog, size, masks, env0)`` calls the root as
 ``run(env, (size, masks, memo))`` with a fresh environment and memo, so
 one program can be evaluated from several threads at once.

@@ -4,12 +4,8 @@ A compiled sentence is a DAG of nodes, each built once as a closure that
 evaluates it (Feeley & Lapalme 1987, "Using closures for code
 generation"): the compiler calls one constructor per node, so the choice of
 node kind is paid when the program is built, not per node per structure.
-The choice of whether a node memoizes is paid there too, in the manner of
-loop-invariant code motion (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd ed.,
-section 9.5): ``model.compile_sentence`` gives an and, or or quantifier
-node a memo only where an enclosing loop or a second parent can reach it
-again with the same key, so that every node with a quantifier at or below
-it still runs at most once per key, and the rest run as plain loops.
+The node runners are plain loops; ``model.compile_sentence`` wraps those of
+the nodes it memoizes in ``memoize`` (the rule is stated there).
 """
 
 from array import array
@@ -35,16 +31,10 @@ class Program:
     it at the last value tried, so the compiler wraps a runner in
     ``restore`` where it runs below a live slot that it binds.  ``ctx`` is
     ``(size, masks, memo)``, made fresh per evaluation: relation ``r``
-    holds the tuples set in ``masks[r]`` and ``memo`` maps (node number,
-    values of the node's used slots) to the truth value of a memoizing
-    node.  A node memoizes iff (a) it has two or more parents, counted
-    through ``Not``, and is not a conjunction or disjunction of literals,
-    or (b) it has a quantifier at or below it and an enclosing quantifier
-    binds a slot outside its free variables'; then every node with a
-    quantifier at or below it runs at most once per key (see
-    ``model.compile_sentence``).  Runners hold no mutable state of their
-    own, so threads and programs may share them.  A runner's result is
-    truthy iff the node holds.
+    holds the tuples set in ``masks[r]`` and ``memo`` holds the results of
+    the runners that ``model.compile_sentence`` wraps in ``memoize``.
+    Runners hold no mutable state of their own, so threads and programs
+    may share them.  A runner's result is truthy iff the node holds.
     """
 
     ops: list[Callable] = field(default_factory=list)
@@ -90,125 +80,70 @@ def not_(child: Callable) -> Callable:
     return run
 
 
-# And, or and the quantifiers come in two bodies.  With ``memo`` given, as
-# (the node's number, unique in the process, which keys its memo entries,
-# and the sorted env slots its subtree reads), the runner looks its memo up
-# inline, not through a shared wrapper; with ``memo`` None it is a plain
-# loop with no key.  Children are looped over in plain ``for`` loops, not
-# all()/any() over a generator: either would add stack frames per nesting
-# level, and the deepest chains the parser accepts would then overflow.
+# Children are looped over in plain ``for`` loops, not all()/any() over a
+# generator: either would add stack frames per nesting level, and the
+# deepest chains the parser accepts would then overflow.
 
-def _memo_key(memo):
-    """The node's number and a getter of its used slots' values from
-    ``env``; no getter for a closed node, whose memo key is the number."""
+def and_(children: tuple[Callable, ...]) -> Callable:
+    def run(env, ctx):
+        for c in children:
+            if not c(env, ctx):
+                return False
+        return True
+    return run
+
+
+def or_(children: tuple[Callable, ...]) -> Callable:
+    def run(env, ctx):
+        for c in children:
+            if c(env, ctx):
+                return True
+        return False
+    return run
+
+
+def exists(child: Callable, slot: int) -> Callable:
+    def run(env, ctx):
+        for v in range(ctx[0]):
+            env[slot] = v
+            if child(env, ctx):
+                return True
+        return False
+    return run
+
+
+def forall(child: Callable, slot: int) -> Callable:
+    def run(env, ctx):
+        for v in range(ctx[0]):
+            env[slot] = v
+            if not child(env, ctx):
+                return False
+        return True
+    return run
+
+
+def memoize(child: Callable, memo: tuple[int, tuple[int, ...]]) -> Callable:
+    """``child``, with its results kept in the evaluation's memo ``ctx[2]``.
+    ``memo`` is the node's number, unique in the process, and the sorted env
+    slots its subtree reads; the key is (number, values of those slots), or
+    the bare number for a closed node."""
     i, used = memo
-    return i, (itemgetter(*used) if used else None)
-
-
-def and_(children: tuple[Callable, ...],
-         memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
-    if memo is None:
+    if not used:
         def run(env, ctx):
-            for c in children:
-                if not c(env, ctx):
-                    return False
-            return True
+            results = ctx[2]
+            res = results.get(i)
+            if res is None:
+                res = results[i] = child(env, ctx)
+            return res
         return run
-    i, get = _memo_key(memo)
+    get = itemgetter(*used)
 
     def run(env, ctx):
-        key = (i, get(env)) if get else i
+        key = (i, get(env))
         results = ctx[2]
         res = results.get(key)
         if res is None:
-            res = True
-            for c in children:
-                if not c(env, ctx):
-                    res = False
-                    break
-            results[key] = res
-        return res
-    return run
-
-
-def or_(children: tuple[Callable, ...],
-        memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
-    if memo is None:
-        def run(env, ctx):
-            for c in children:
-                if c(env, ctx):
-                    return True
-            return False
-        return run
-    i, get = _memo_key(memo)
-
-    def run(env, ctx):
-        key = (i, get(env)) if get else i
-        results = ctx[2]
-        res = results.get(key)
-        if res is None:
-            res = False
-            for c in children:
-                if c(env, ctx):
-                    res = True
-                    break
-            results[key] = res
-        return res
-    return run
-
-
-def exists(child: Callable, slot: int,
-           memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
-    if memo is None:
-        def run(env, ctx):
-            for v in range(ctx[0]):
-                env[slot] = v
-                if child(env, ctx):
-                    return True
-            return False
-        return run
-    i, get = _memo_key(memo)
-
-    def run(env, ctx):
-        key = (i, get(env)) if get else i
-        results = ctx[2]
-        res = results.get(key)
-        if res is None:
-            res = False
-            for v in range(ctx[0]):
-                env[slot] = v
-                if child(env, ctx):
-                    res = True
-                    break
-            results[key] = res
-        return res
-    return run
-
-
-def forall(child: Callable, slot: int,
-           memo: Optional[tuple[int, tuple[int, ...]]] = None) -> Callable:
-    if memo is None:
-        def run(env, ctx):
-            for v in range(ctx[0]):
-                env[slot] = v
-                if not child(env, ctx):
-                    return False
-            return True
-        return run
-    i, get = _memo_key(memo)
-
-    def run(env, ctx):
-        key = (i, get(env)) if get else i
-        results = ctx[2]
-        res = results.get(key)
-        if res is None:
-            res = True
-            for v in range(ctx[0]):
-                env[slot] = v
-                if not child(env, ctx):
-                    res = False
-                    break
-            results[key] = res
+            res = results[key] = child(env, ctx)
         return res
     return run
 
@@ -230,7 +165,6 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
     whose relation ``r`` holds the tuples set in ``masks[r]``.
 
     ``env0`` fills the free slots; quantifier nodes extend the environment.
-    A memoizing node's results are memoised on the slots its subtree reads.
     """
     env = [*env0, *[0] * (prog.nslots - len(env0))]
     return bool(prog.run(env, (size, masks, {})))

@@ -548,7 +548,9 @@ def compile_sentence(sentence: Sentence, signature: Signature,
       (b) N has a quantifier at or below it, and some slot that an
           enclosing quantifier binds, a shadowed one included, is not a
           slot of N's free variables.
-    Every other runner is a plain loop with no memo.
+    A memoizing runner is N's plain loop wrapped in ``pure.memoize``, keyed
+    by a number unique in the process and the values of N's free
+    variables' slots; every other runner is the plain loop alone.
 
     The bound: a runner with a quantifier at or below it runs its body at
     most once per distinct key (the runner and the values of its free
@@ -630,7 +632,7 @@ def compile_sentence(sentence: Sentence, signature: Signature,
                 if run is not None:
                     return run, ref.top, ref.low, True
         kind = type(node)
-        plain = False
+        plain = memo = False
         low = inf
         if kind is Atom:
             if node.rel not in rel_index:
@@ -653,27 +655,25 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             top = max((k[1] for k in kids), default=-1)
             low = min((k[2] for k in kids), default=inf)
             make = pure.and_ if kind is And else pure.or_
-            runs = tuple(k[0] for k in kids)
-            if all(map(_is_literal, node.children)):
-                # serves every context: it never memoizes
-                run = make(runs)
-            elif shared or (low < inf and uncovered(key, next_slot)):
-                # the slots the subtree reads are its free variables' slots
-                run = make(runs,
-                           (next(_NODE_NUMBERS), tuple(sorted(key[1:]))))
-            else:
-                run, plain = make(runs), True
+            run = make(tuple(k[0] for k in kids))
+            # a conjunction or disjunction of literals serves every context:
+            # it never memoizes
+            if not all(map(_is_literal, node.children)):
+                memo = shared or (low < inf and uncovered(key, next_slot))
+                plain = not memo
         else:  # Exists or Forall
             inner = dict(binding)
             inner[node.var] = next_slot
             child, top, low, _plain = rec(node.child, inner, next_slot + 1)
             top, low = max(top, next_slot), next_slot
             make = pure.exists if kind is Exists else pure.forall
-            if shared or uncovered(key, next_slot):
-                run = make(child, next_slot,
-                           (next(_NODE_NUMBERS), tuple(sorted(key[1:]))))
-            else:
-                run, plain = make(child, next_slot), True
+            run = make(child, next_slot)
+            memo = shared or uncovered(key, next_slot)
+            plain = not memo
+        if memo:
+            # the slots the subtree reads are its free variables' slots
+            run = pure.memoize(run, (next(_NODE_NUMBERS),
+                                     tuple(sorted(key[1:]))))
         ops.append(run)
         if plain and node is not sentence:
             # its parent is the one runner that calls it
@@ -701,20 +701,19 @@ def eval(M: Structure, sentence: Sentence,
     Free variables must all be assigned values in range.  Empty conjunction
     is true, empty disjunction false.
     """
-    if not sentence.free:
-        return _kernel.active.eval_program(
-            compile_sentence(sentence, M.signature, ()), M.size, M.masks, ())
-    assignment = assignment or {}
-    free_order = tuple(sorted(sentence.free))
+    # a closed sentence skips the sort: this runs once per structure
+    free_order = tuple(sorted(sentence.free)) if sentence.free else ()
+    env0 = ()
     for v in free_order:
-        if v not in assignment:
+        if assignment is None or v not in assignment:
             raise MalformedSentenceError(f"no assignment for free variable {v!r}")
         if not (0 <= assignment[v] < M.size):
             raise MalformedSentenceError(
                 f"assignment {v}={assignment[v]} out of range")
-    prog = compile_sentence(sentence, M.signature, free_order)
-    env0 = tuple(assignment[v] for v in free_order)
-    return _kernel.active.eval_program(prog, M.size, M.masks, env0)
+        env0 += (assignment[v],)
+    return _kernel.active.eval_program(
+        compile_sentence(sentence, M.signature, free_order), M.size, M.masks,
+        env0)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +823,8 @@ class ModelSpace:
         """Per-representative bitsets of elements satisfying a one-free-
         variable formula.  ``Not(f)`` is the complement of ``f``'s sets
         within each representative's elements, one stack frame per level;
-        any other formula is evaluated whole, so ``And``/``Or`` children
-        share one kernel memo."""
+        any other formula is compiled once and evaluated whole per element,
+        so ``And``/``Or`` children share one kernel memo."""
         if formula.free - {var}:
             raise MalformedSentenceError(
                 f"extra free variables {sorted(formula.free - {var})}")
@@ -838,11 +837,13 @@ class ModelSpace:
                         zip(self.representatives,
                             self.elem_satset(formula.child, var)))
         else:
+            prog = compile_sentence(formula, self.signature, (var,))
+            eval_program = _kernel.active.eval_program
             out = []
             for rep in self.representatives:
                 m = 0
                 for e in range(rep.size):
-                    if eval(rep, formula, {var: e} if formula.free else None):
+                    if eval_program(prog, rep.size, rep.masks, (e,)):
                         m |= 1 << e
                 out.append(m)
             res = tuple(out)

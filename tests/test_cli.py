@@ -453,6 +453,21 @@ class TestDeepNesting:
         assert r.returncode == 0, r.stderr
         assert "independence: pass" in r.stdout
 
+    def test_deepest_quantifier_tower_is_answered(self, tmp_path):
+        # every quantifier below the root is closed under a quantifier
+        # that binds another slot, so each one memoizes (rule (b) of
+        # compile_sentence) and its memo adds a stack frame per level
+        from indepax.model import MAX_PARSE_DEPTH
+        k = MAX_PARSE_DEPTH - 1  # the atom adds one level
+        s = f"(atom P x{k - 1})"
+        for i in reversed(range(k)):
+            s = f"({('forall', 'exists')[i % 2]} x{i} {s})"
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps([s]))
+        r = run_cli("verify", "--independent", "--max-size", "2", str(path))
+        assert r.returncode == 0, r.stderr
+        assert "independence: pass" in r.stdout
+
     def test_deep_chain_over_cached_sentence_is_answered(self, tmp_path):
         # every level shares its first conjunct with the cached first
         # sentence; the satset of each level is bitset algebra over its

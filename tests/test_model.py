@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indepax import model, scott
+from indepax._kernel import pure
 from indepax.errors import (EnumerationOverflowError, MalformedSentenceError,
                             ParseError, PreconditionError)
 from indepax.model import (And, Atom, Eq, Exists, Forall, Not, Or, Signature,
@@ -683,6 +684,59 @@ class TestMemoRule:
     def test_dag_expansions_are_large(self):
         for builder in (_SHARED_DAG, _ADOPTED_CHAIN):
             assert model.sexpr_length(_built(builder)) > 2 ** 60
+
+
+class TestMemoize:
+    """``pure.memoize`` keeps a node's results in the evaluation's memo,
+    keyed by the node's number and the values of its used slots."""
+
+    @staticmethod
+    def counting(result):
+        """A child runner that answers ``result`` and the envs it ran on."""
+        calls = []
+
+        def child(env, ctx):
+            calls.append(tuple(env))
+            return result
+        return child, calls
+
+    def test_closed_node_is_stored_under_its_number(self):
+        child, calls = self.counting(True)
+        run = pure.memoize(child, (7, ()))
+        memo = {}
+        assert run([0, 1], (2, (), memo)) is True
+        assert run([1, 0], (2, (), memo)) is True
+        assert memo == {7: True}
+        assert calls == [(0, 1)]
+
+    def test_open_node_is_stored_under_its_used_slots(self):
+        child, calls = self.counting(True)
+        run = pure.memoize(child, (7, (0, 2)))
+        memo = {}
+        run([1, 0, 1], (2, (), memo))
+        assert memo == {(7, (1, 1)): True}
+        # slot 1 is not used: the same key
+        run([1, 1, 1], (2, (), memo))
+        assert calls == [(1, 0, 1)]
+
+    def test_two_slot_values_give_two_entries(self):
+        child, calls = self.counting(True)
+        run = pure.memoize(child, (3, (1,)))
+        memo = {}
+        run([0, 0], (2, (), memo))
+        run([0, 1], (2, (), memo))
+        assert memo == {(3, 0): True, (3, 1): True}
+        assert calls == [(0, 0), (0, 1)]
+
+    def test_false_result_is_stored_and_not_computed_again(self):
+        child, calls = self.counting(False)
+        run = pure.memoize(child, (5, (0,)))
+        memo = {}
+        env = [1]
+        assert not run(env, (2, (), memo))
+        assert not run(env, (2, (), memo))
+        assert memo == {(5, 1): False}
+        assert calls == [(1,)]
 
 
 class TestQuantifierRank:
