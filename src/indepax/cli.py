@@ -241,8 +241,8 @@ def cmd_fuzz(args) -> int:
         all_ok &= ok
         # outputs can run to hundreds of MB of s-expressions; the summary
         # pins their semantics (per-sentence model sets) instead
-        sem = hashlib.sha256(repr([space.satset(s) for s in rep.output]
-                                  ).encode()).hexdigest()
+        sem = hashlib.sha256(model.long_repr(
+            [space.satset(s) for s in rep.output]).encode()).hexdigest()
         theory_runs.append({
             "input": theory_to_json(T),
             "output_sentences": len(rep.output),

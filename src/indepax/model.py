@@ -716,6 +716,22 @@ def eval(M: Structure, sentence: Sentence,
         env0)
 
 
+def _decide_open(M: Structure, m: int, parts: Sequence[Sentence], var: str,
+                 conj: bool) -> int:
+    """``m``, the elements of ``M`` where a conjunction (``conj``) or a
+    disjunction holds so far, with its open elements (those in ``m`` for a
+    conjunction, those outside it for a disjunction) decided by ``parts``,
+    each evaluated in order until one decides the element."""
+    for e in range(M.size):
+        bit = 1 << e
+        if bool(m & bit) == conj:
+            for f in parts:
+                if eval(M, f, {var: e}) != conj:
+                    m ^= bit
+                    break
+    return m
+
+
 # ---------------------------------------------------------------------------
 # Theories
 # ---------------------------------------------------------------------------
@@ -760,9 +776,14 @@ class ModelSpace:
     ``Not`` are always bitset algebra over the children's satsets, and
     ``scott.space_scott_sentence`` seeds the satsets of the isolating
     sentences of the space's classes by index.
-    Per-element sets of open formulas (``elem_satset``) follow the same
-    rule for ``Not`` only: the complement of the child's sets within
-    ``(1 << size) - 1`` per representative.
+    Per-element sets of one-variable formulas (``elem_satset``) follow the
+    same rule, per representative within its elements.  A quantifier over
+    an ``And``, ``Or`` or ``Not`` whose parts, reached through its boolean
+    nodes, are closed or have their element sets cached is read off those
+    sets: true where the body's set is nonempty (``Exists``) or holds every
+    element (``Forall``).  Any other quantifier is evaluated per
+    representative, which keeps the structure-level short-circuits of a
+    fresh sentence.
     """
 
     signature: Signature
@@ -770,6 +791,10 @@ class ModelSpace:
     representatives: tuple[Structure, ...]
     _satsets: dict = field(init=False, default_factory=dict, repr=False)
     _elemsets: dict = field(init=False, default_factory=dict, repr=False)
+    # one stored tuple per distinct element-set value: many formulas, few
+    # values (a criterion-8 request's parts share most of theirs)
+    _elemset_values: dict = field(init=False, default_factory=dict,
+                                  repr=False)
     _extra: dict = field(init=False, default_factory=dict, repr=False)
 
     @cached_property
@@ -777,12 +802,19 @@ class ModelSpace:
         return (1 << len(self.representatives)) - 1
 
     @cached_property
+    def elem_full(self) -> tuple[int, ...]:
+        """Per representative, the bitset of all its elements."""
+        return tuple((1 << rep.size) - 1 for rep in self.representatives)
+
+    @cached_property
     def rep_index(self) -> dict[int, int]:
         return {id(r): i for i, r in enumerate(self.representatives)}
 
     def satset(self, sentence: Sentence) -> int:
         """Bitset of representatives satisfying a closed sentence.  Each
-        nested boolean level costs one stack frame."""
+        nested boolean level costs one stack frame.  A quantifier is read
+        off its body's element sets when the class docstring's rule lets
+        it, and evaluated per representative otherwise."""
         if sentence.free:
             raise MalformedSentenceError(
                 f"sentence has free variables {sorted(sentence.free)}")
@@ -803,6 +835,15 @@ class ModelSpace:
                     break
         elif isinstance(sentence, Not):
             m = self.full_mask & ~self.satset(sentence.child)
+        elif (isinstance(sentence, (Exists, Forall))
+              and self._reads_cached_sets(sentence.child, sentence.var)):
+            elems = self.elem_satset(sentence.child, sentence.var)
+            hits = (map(bool, elems) if isinstance(sentence, Exists)
+                    else map(int.__eq__, elems, self.elem_full))
+            m = 0
+            for i, hit in enumerate(hits):
+                if hit:
+                    m |= 1 << i
         else:
             m = 0
             for i, rep in enumerate(self.representatives):
@@ -810,6 +851,30 @@ class ModelSpace:
                     m |= 1 << i
         self._satsets[id(sentence)] = m
         return m
+
+    def _reads_cached_sets(self, body: Sentence, var: str) -> bool:
+        """Whether ``body`` is an ``And``, ``Or`` or ``Not`` whose parts,
+        reached through its boolean nodes, are each closed or have their
+        element sets for ``var`` cached."""
+        if not isinstance(body, (And, Or, Not)):
+            return False
+        elemsets = self._elemsets
+        seen = set()
+        stack = [body]
+        while stack:
+            node = stack.pop()
+            if (not node.free or (id(node), var) in elemsets
+                    or node in seen):
+                continue
+            seen.add(node)
+            kind = type(node)
+            if kind is Not:
+                stack.append(node.child)
+            elif kind is And or kind is Or:
+                stack += node.children
+            else:
+                return False
+        return True
 
     def theory_mask(self, T: Union[Theory, Iterable[Sentence]]) -> int:
         m = self.full_mask
@@ -820,11 +885,17 @@ class ModelSpace:
         return m
 
     def elem_satset(self, formula: Sentence, var: str) -> tuple[int, ...]:
-        """Per-representative bitsets of elements satisfying a one-free-
-        variable formula.  ``Not(f)`` is the complement of ``f``'s sets
-        within each representative's elements, one stack frame per level;
-        any other formula is compiled once and evaluated whole per element,
-        so ``And``/``Or`` children share one kernel memo."""
+        """Per-representative bitsets of the elements satisfying a formula
+        whose one free variable, if any, is ``var``.  Boolean structure is
+        bitset algebra, as in ``satset``, one stack frame per level: ``Not``
+        is the complement within each representative's elements, ``And``
+        and ``Or`` the per-representative ``&`` and ``|`` of the children's
+        sets, and a closed part is all or none of a representative's
+        elements, as ``satset`` reads it.  Any other formula (a literal or a
+        quantifier) is evaluated per element with ``eval``; as a child of an
+        ``And`` or ``Or``, a quantifier whose sets are not cached is
+        evaluated only at the elements that the other children leave open,
+        as the kernel's short-circuits would, and its sets are not kept."""
         if formula.free - {var}:
             raise MalformedSentenceError(
                 f"extra free variables {sorted(formula.free - {var})}")
@@ -832,21 +903,35 @@ class ModelSpace:
         cached = self._elemsets.get(key)
         if cached is not None:
             return cached
-        if isinstance(formula, Not):
-            res = tuple(((1 << rep.size) - 1) & ~m for rep, m in
-                        zip(self.representatives,
-                            self.elem_satset(formula.child, var)))
+        kind = type(formula)
+        if not formula.free:
+            m = self.satset(formula)
+            res = tuple(full if (m >> i) & 1 else 0
+                        for i, full in enumerate(self.elem_full))
+        elif kind is Not:
+            res = tuple(map(int.__and__, self.elem_full, map(
+                int.__invert__, self.elem_satset(formula.child, var))))
+        elif kind is And or kind is Or:
+            # the children's sets first, then the uncached quantified
+            # children at the elements still open
+            conj = kind is And
+            op = int.__and__ if conj else int.__or__
+            res = self.elem_full if conj else (0,) * len(self.representatives)
+            rest = []
+            for c in formula.children:
+                if (isinstance(c, (Exists, Forall)) and c.free
+                        and (id(c), var) not in self._elemsets):
+                    rest.append(c)
+                else:
+                    res = tuple(map(op, res, self.elem_satset(c, var)))
+            if rest:
+                res = tuple(_decide_open(rep, m, rest, var, conj)
+                            for rep, m in zip(self.representatives, res))
         else:
-            prog = compile_sentence(formula, self.signature, (var,))
-            eval_program = _kernel.active.eval_program
-            out = []
-            for rep in self.representatives:
-                m = 0
-                for e in range(rep.size):
-                    if eval_program(prog, rep.size, rep.masks, (e,)):
-                        m |= 1 << e
-                out.append(m)
-            res = tuple(out)
+            # the elements where the disjunction of the formula alone holds
+            res = tuple(_decide_open(rep, 0, (formula,), var, False)
+                        for rep in self.representatives)
+        res = self._elemset_values.setdefault(res, res)
         self._elemsets[key] = res
         return res
 
@@ -1036,6 +1121,27 @@ def structure_to_json(M: Structure) -> dict:
         "relations": {n: sorted([list(t) for t in tab])
                       for (n, _a), tab in zip(M.signature.relations, M.tables)},
     }
+
+
+def long_repr(value) -> str:
+    """``repr`` of an int, or of a list or tuple of ints, at any length.
+    ``repr`` refuses an int of more than ``sys.get_int_max_str_digits()``
+    digits; such an int is written as the text of its high and low halves,
+    split at a power of ten, so the text is the same decimal text."""
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        if value < 0:
+            return "-" + long_repr(-value)
+        half = value.bit_length() * 3 // 20  # about half its digits
+        high, low = divmod(value, 10 ** half)
+        return long_repr(high) + long_repr(low).zfill(half)
+    items = ", ".join(map(long_repr, value))
+    if isinstance(value, list):
+        return f"[{items}]"
+    return f"({items},)" if len(value) == 1 else f"({items})"
 
 
 def json_int(value) -> int:

@@ -32,7 +32,8 @@ from . import _kernel
 from .errors import (EnumerationOverflowError, MaterializationRefusedError,
                      PreconditionError, SignatureMismatchError)
 from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
-                    Sentence, Signature, Structure, canonical_key)
+                    Sentence, Signature, Structure, canonical_key,
+                    long_repr)
 
 
 # Items are (structure, tuple) pairs, kept only as one array('i') of labels
@@ -281,7 +282,12 @@ def scott_height(M: Structure) -> int:
 def canonical_invariant(M: Structure) -> str:
     """Opaque token equal across structures iff they are isomorphic: the
     digest of M's size and least key (``model.canonical_key``)."""
-    return hashlib.sha256(f"{M.size}|{canonical_key(M)}".encode()).hexdigest()
+    key = canonical_key(M)
+    try:
+        text = f"{M.size}|{key}"
+    except ValueError:  # a mask past the digit limit of int-to-text
+        text = f"{M.size}|{long_repr(key)}"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

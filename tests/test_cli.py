@@ -1,4 +1,6 @@
+import decimal
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -481,6 +483,66 @@ class TestDeepNesting:
         assert r.returncode == 1, r.stderr
         assert "independence: fail" in r.stdout
         assert "Traceback" not in r.stderr
+
+
+@pytest.fixture
+def int_text_limit():
+    """Python's default limit on the digits of int-to-text conversion,
+    whatever the environment sets (a Python without the limit has none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestLongInts:
+    """Model sets and canonical keys past the int-to-text digit limit are
+    written as the same decimal text as shorter ones, in process."""
+
+    def test_long_repr_is_repr_past_the_limit(self, int_text_limit):
+        from indepax.model import long_repr
+        # the low half of 10**6000 + 1 starts with zeros
+        for n in (10 ** 6000 + 1, (1 << 20000) - 1):
+            text = str(decimal.Decimal(n))
+            assert long_repr(n) == text
+            assert long_repr(-n) == "-" + text
+            assert long_repr([n, 3]) == f"[{text}, 3]"
+            assert long_repr((n,)) == f"({text},)"
+            assert long_repr((3, n)) == f"(3, {text})"
+        assert long_repr([(1 << 64), 0]) == repr([(1 << 64), 0])
+
+    def test_fuzz_over_a_large_space(self, tmp_path, capsys,
+                                     int_text_limit):
+        # seed 5's first output sentences have model sets over the 46,752
+        # classes of max-size 4, past 4,300 decimal digits
+        from indepax import cli
+        rc = cli.main(["fuzz", "--seed", "5", "--count", "1",
+                       "--max-size", "4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.startswith("error:")), err
+
+    def test_scott_invariant_of_a_full_9_ary_relation(self, tmp_path, capsys,
+                                                      int_text_limit):
+        from indepax import cli
+        rows = [list(t) for t in itertools.product(range(3), repeat=9)]
+        path = tmp_path / "full9.json"
+        path.write_text(json.dumps({
+            "signature": [{"name": "S", "arity": 9}], "size": 3,
+            "relations": {"S": rows}}))
+        rc = cli.main(["scott", str(path), "--cap-materialize", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "scott.json").read_text())
+        # the least key is the one mask of all 3**9 cells, 5,926 digits;
+        # Decimal writes it without the limit
+        text = f"3|({decimal.Decimal((1 << 3 ** 9) - 1)},)"
+        assert report["invariant"] == hashlib.sha256(
+            text.encode()).hexdigest()
 
 
 class TestDeterminism:

@@ -423,6 +423,157 @@ class TestSpaceQueries:
                     assert bool((p >> e) & 1) == model.eval(rep, f, {"x": e})
 
 
+class TestElementSetAlgebra:
+    """``elem_satset`` of boolean formulas, and ``satset`` of a quantifier
+    over such a formula, against per-element and per-structure evaluation
+    and ``reference_holds``."""
+
+    @staticmethod
+    def parts(seed):
+        """Seeded triples of two formulas in x and one closed sentence."""
+        import random
+        from indepax import generators
+        rng = random.Random(seed)
+        opened = [f for f in (generators.random_formula(rng, 2, ("x",))
+                              for _ in range(60)) if f.free == {"x"}]
+        closed = [generators.random_formula(rng, 2) for _ in range(6)]
+        return [(opened[2 * i], opened[2 * i + 1], c)
+                for i, c in enumerate(closed)]
+
+    @classmethod
+    def bodies(cls, seed):
+        """Seeded one-variable boolean formulas, each with open and closed
+        parts."""
+        out = []
+        for a, b, c in cls.parts(seed):
+            out += [And([a, Not(c)]), Or([Not(a), b, c]),
+                    Not(And([Or([a, c]), Not(b)]))]
+        return out
+
+    @staticmethod
+    def per_element(rep, f):
+        return sum(model.eval(rep, f, {"x": e}) << e for e in range(rep.size))
+
+    @staticmethod
+    def per_structure(space, sentence):
+        return sum(model.eval(rep, sentence) << i
+                   for i, rep in enumerate(space.representatives))
+
+    @pytest.fixture
+    def evals(self, monkeypatch):
+        """Every ``model.eval`` call from here on, in order."""
+        calls = []
+        real = model.eval
+
+        def counting(M, sentence, assignment=None):
+            calls.append(sentence)
+            return real(M, sentence, assignment)
+        monkeypatch.setattr(model, "eval", counting)
+        return calls
+
+    def test_boolean_formula_matches_per_element_eval(self, ub_sig):
+        space = enumerate_models(ub_sig, 2)
+        for f in self.bodies(5):
+            for rep, m in zip(space.representatives,
+                              space.elem_satset(f, "x")):
+                assert m == self.per_element(rep, f), to_sexpr(f)
+        # a closed part holds at all or none of a structure's elements
+        for _a, _b, c in self.parts(5):
+            for rep, m in zip(space.representatives,
+                              space.elem_satset(c, "x")):
+                full = (1 << rep.size) - 1
+                assert m == (full if reference_holds(rep, c) else 0)
+
+    def test_quantified_child_is_evaluated_where_open(self, ub_sig, evals):
+        space = enumerate_models(ub_sig, 2)
+        p = Atom("P", ("x",))
+        q = Exists("y", Atom("R", ("x", "y")))
+        for conj, f in ((True, And([q, p])), (False, Or([q, p]))):
+            before = evals.count(q)
+            got = space.elem_satset(f, "x")
+            # q is evaluated at the elements where p leaves f open: those
+            # with P for the conjunction, those without it for the
+            # disjunction
+            open_ = sum(bin(m if conj else full & ~m).count("1")
+                        for m, full in zip(space.elem_satset(p, "x"),
+                                           space.elem_full))
+            assert 0 < open_ < sum(rep.size for rep in space.representatives)
+            assert evals.count(q) - before == open_
+            assert (id(q), "x") not in space._elemsets
+            for rep, m in zip(space.representatives, got):
+                assert m == self.per_element(rep, f)
+
+    def test_quantifier_over_cached_parts_reads_element_sets(self, ub_sig,
+                                                            evals):
+        space = enumerate_models(ub_sig, 2)
+        reps = space.representatives
+        p, r = Atom("P", ("x",)), Atom("R", ("x", "x"))
+        # fails at the element with P and without R(x, x)
+        fails_once = Or([Not(p), r])
+        no_var = And([parse_sentence("(exists y (atom P y))"),
+                      Not(parse_sentence("(forall y (atom R y y))"))])
+        bodies = self.bodies(7) + [fails_once, no_var]
+        for body in bodies:
+            space.elem_satset(body, "x")
+        one_fails = [i for i, (rep, m) in enumerate(
+            zip(reps, space.elem_satset(fails_once, "x")))
+            if rep.size > 1 and bin(space.elem_full[i] & ~m).count("1") == 1]
+        assert one_fails
+        for body in bodies:
+            for quantifier in (Exists, Forall):
+                s = quantifier("x", body)
+                before = len(evals)
+                got = space.satset(s)
+                assert len(evals) == before, to_sexpr(s)
+                assert got == self.per_structure(space, s), to_sexpr(s)
+                assert got == sum(reference_holds(rep, s) << i
+                                  for i, rep in enumerate(reps))
+        forall = space.satset(Forall("x", fails_once))
+        assert not any((forall >> i) & 1 for i in one_fails)
+        assert (space.satset(Exists("x", no_var))
+                == space.satset(no_var))
+
+    def test_fresh_space_evaluates_per_representative(self, ub_sig, evals):
+        space = enumerate_models(ub_sig, 2)
+        n = len(space.representatives)
+        for a, b, c in self.parts(11):
+            for quantifier in (Exists, Forall):
+                for body in (And([a, Not(c)]), Or([Not(a), b, c])):
+                    fresh = model.ModelSpace(space.signature, space.max_size,
+                                             space.representatives)
+                    s = quantifier("x", body)
+                    before = len(evals)
+                    fresh.satset(s)
+                    assert len(evals) - before == n, to_sexpr(s)
+                # a cached, b not: still per representative
+                half = model.ModelSpace(space.signature, space.max_size,
+                                        space.representatives)
+                half.elem_satset(a, "x")
+                s = quantifier("x", And([a, Or([b, c])]))
+                before = len(evals)
+                got = half.satset(s)
+                assert len(evals) - before == n, to_sexpr(s)
+                assert got == fresh.satset(s)
+
+    def test_deepest_and_not_chain(self, ub_sig, evals):
+        text = "(atom P x)"
+        for i in reversed(range(model.MAX_PARSE_DEPTH - 1)):
+            text = (f"(not {text})" if i % 2
+                    else f"(and (atom R x x) {text})")
+        chain = parse_sentence(text)
+        with pytest.raises(ParseError, match="too deeply nested"):
+            parse_sentence(f"(not {text})")
+        space = enumerate_models(ub_sig, 2)
+        elems = space.elem_satset(chain, "x")
+        for rep, m in zip(space.representatives, elems):
+            assert m == self.per_element(rep, chain)
+        before = len(evals)
+        got = space.satset(Exists("x", chain))
+        assert len(evals) == before
+        assert got == sum(bool(m) << i for i, m in enumerate(elems))
+        assert got == self.per_structure(space, Exists("x", chain))
+
+
 class TestConcurrency:
     def test_shared_space_queries_are_reentrant(self, ub_space):
         # values are immutable and caches idempotent: hammer one space from
