@@ -791,8 +791,9 @@ class ModelSpace:
     representatives: tuple[Structure, ...]
     _satsets: dict = field(init=False, default_factory=dict, repr=False)
     _elemsets: dict = field(init=False, default_factory=dict, repr=False)
-    # one stored tuple per distinct element-set value: many formulas, few
-    # values (a criterion-8 request's parts share most of theirs)
+    # one stored tuple per distinct element-set value: the type formulas
+    # of criterion 8 share most values (two thirds of the sets stored on
+    # the benchmark's `types` workload equal an earlier one)
     _elemset_values: dict = field(init=False, default_factory=dict,
                                   repr=False)
     _extra: dict = field(init=False, default_factory=dict, repr=False)
@@ -1126,18 +1127,15 @@ def structure_to_json(M: Structure) -> dict:
 def long_repr(value) -> str:
     """``repr`` of an int, or of a list or tuple of ints, at any length.
     ``repr`` refuses an int of more than ``sys.get_int_max_str_digits()``
-    digits; such an int is written as the text of its high and low halves,
-    split at a power of ten, so the text is the same decimal text."""
+    digits; ``decimal.Decimal`` writes the same decimal text without that
+    limit."""
     try:
         return repr(value)
     except ValueError:
         pass
     if isinstance(value, int):
-        if value < 0:
-            return "-" + long_repr(-value)
-        half = value.bit_length() * 3 // 20  # about half its digits
-        high, low = divmod(value, 10 ** half)
-        return long_repr(high) + long_repr(low).zfill(half)
+        import decimal  # here, not at the top: it takes ms to import
+        return str(decimal.Decimal(value))
     items = ", ".join(map(long_repr, value))
     if isinstance(value, list):
         return f"[{items}]"

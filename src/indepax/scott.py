@@ -282,11 +282,7 @@ def scott_height(M: Structure) -> int:
 def canonical_invariant(M: Structure) -> str:
     """Opaque token equal across structures iff they are isomorphic: the
     digest of M's size and least key (``model.canonical_key``)."""
-    key = canonical_key(M)
-    try:
-        text = f"{M.size}|{key}"
-    except ValueError:  # a mask past the digit limit of int-to-text
-        text = f"{M.size}|{long_repr(key)}"
+    text = f"{M.size}|{long_repr(canonical_key(M))}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
