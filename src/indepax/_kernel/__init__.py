@@ -11,9 +11,12 @@ are shared between programs: ``Program.ops`` lists only those its own
 compilation built.  ``model.compile_sentence`` wraps the runners of the
 nodes it memoizes in ``pure.memoize`` (the rule is stated there), and a
 shared runner that runs below a live slot it binds in ``pure.restore``.
-``active.eval_program(prog, size, masks, env0)`` calls the root as
-``run(env, (size, masks, memo))`` with a fresh environment and memo, so
-one program can be evaluated from several threads at once.
+``active.eval_program(prog, size, masks, env0, width=1)`` evaluates the
+program over a run of ``width`` structures of one size at once, with a
+fresh environment and memo, so one program can be evaluated from several
+threads at once; it returns the bitset of the run's structures where the
+sentence holds (``pure.Program`` states the layout of ``masks`` and the
+runners' context).
 
 ``active.refine_levels(sizes, n_max, init_labels)`` takes each structure's
 tuples of length 0..n_max in heap order (by length, each length in product

