@@ -4,13 +4,12 @@
 partition refiner.  Callers look its functions up as attributes at call
 time, so a tracer can wrap them in place.
 
-A ``Program`` reaches one runner closure per node, built by the node
-constructors of ``pure`` (``atom``, ``eq``, ``not_``, ``and_``, ``or_``,
-``exists``, ``forall``), and holds the root's as ``Program.run``.  Runners
-are shared between programs: ``Program.ops`` lists only those its own
-compilation built.  ``model.compile_sentence`` wraps the runners of the
-nodes it memoizes in ``pure.memoize`` (the rule is stated there), and a
-shared runner that runs below a live slot it binds in ``pure.restore``.
+A ``Program`` holds one runner closure per node and slot context, built
+by the node constructors of ``pure`` (``atom``, ``eq``, ``not_``,
+``and_``, ``or_``, ``exists``, ``forall``) and listed in ``Program.ops``,
+and holds the root's as ``Program.run``.  No runner is shared between
+programs.  ``model.compile_sentence`` wraps the runners of the nodes it
+memoizes in ``pure.memoize`` (the rule is stated there).
 ``active.eval_program(prog, size, masks, env0, width=1)`` evaluates the
 program over a run of ``width`` structures of one size at once, with a
 fresh environment and memo, so one program can be evaluated from several

@@ -1,9 +1,10 @@
 """Pure-Python kernel: the hot inner loops of evaluation and refinement.
 
-A compiled sentence is a DAG of nodes, each built once as a closure that
-evaluates it (Feeley & Lapalme 1987, "Using closures for code
-generation"): the compiler calls one constructor per node, so the choice of
-node kind is paid when the program is built, not per node per structure.
+A compiled sentence is a DAG of closures, one per node and slot context,
+each evaluating its node (Feeley & Lapalme 1987, "Using closures for code
+generation"): the compiler calls one constructor per closure, so the choice
+of node kind is paid when the program is built, not per node per
+structure.
 The node runners are plain loops; ``model.compile_sentence`` wraps those of
 the nodes it memoizes in ``memoize`` (the rule is stated there).
 
@@ -25,21 +26,20 @@ BACKEND = "pure"
 
 @dataclass
 class Program:
-    """Sentence DAG compiled to one closure per node.
+    """Sentence DAG compiled to one closure per node and slot context.
 
-    ops       the runners this compilation built, children first; the rest
-              of the DAG reuses runners that other programs built
+    ops       the runners the compilation built, children first; a runner
+              may be reached from several parents
     run       the root's runner
     nslots    env slots the program reads or binds: one past the deepest
-              slot that any runner it reaches touches, built here or reused
+              slot that any of its runners touches
 
     A runner is called as ``run(env, ctx)`` and returns the bits, over
     the run, of the structures where its node holds.  ``env`` is a list of
     slot values, free slots first; element v of the run's universe is the
     value ``v * width``, so the fold-left index of a tuple of such values
     is its cell's offset ``cell * width``.  A quantifier node binds its
-    slot and leaves it at the last value tried, so the compiler wraps a
-    runner in ``restore`` where it runs below a live slot that it binds.
+    slot and leaves it at the last value tried.
     ``ctx`` is ``(size, masks, memo, full, elements)``, made fresh per
     evaluation: the structures' size; per relation r, the cell-major bits
     ``masks[r]``, whose bit ``cell * width + j`` says whether structure j
@@ -47,7 +47,7 @@ class Program:
     runners that ``model.compile_sentence`` wraps in ``memoize``; the
     run's full mask ``(1 << width) - 1``; and the element values
     ``range(0, size * width, width)``.  Runners hold no mutable state of
-    their own, so threads and programs may share them.
+    their own, so threads may share a program.
     """
 
     ops: list[Callable] = field(default_factory=list)
@@ -149,9 +149,9 @@ def forall(child: Callable, slot: int) -> Callable:
 
 def memoize(child: Callable, memo: tuple[int, tuple[int, ...]]) -> Callable:
     """``child``, with its results kept in the evaluation's memo ``ctx[2]``.
-    ``memo`` is the node's number, unique in the process, and the sorted env
-    slots its subtree reads; the key is (number, values of those slots), or
-    the bare number for a closed node."""
+    ``memo`` is the runner's number, unique in its program, and the env
+    slots of its node's free variables; the key is (number, values of those
+    slots), or the bare number for a closed node."""
     i, used = memo
     if not used:
         def run(env, ctx):
@@ -169,17 +169,6 @@ def memoize(child: Callable, memo: tuple[int, tuple[int, ...]]) -> Callable:
         res = results.get(key)
         if res is None:
             res = results[key] = child(env, ctx)
-        return res
-    return run
-
-
-def restore(child: Callable, low: int, high: int) -> Callable:
-    """``child``, with env slots ``low..high-1`` saved before it runs and
-    put back after: for a runner reused below live slots that it binds."""
-    def run(env, ctx):
-        saved = env[low:high]
-        res = child(env, ctx)
-        env[low:high] = saved
         return res
     return run
 

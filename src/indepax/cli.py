@@ -368,8 +368,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, MalformedSentenceError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, MalformedSentenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -12,10 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import inf
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -180,22 +178,6 @@ def _postorder(sentence: Sentence) -> list[Sentence]:
                 done[node] = True
                 order.append(node)
     return order
-
-
-def _parent_counts(sentence: Sentence) -> dict:
-    """Per distinct node of ``sentence``, the number of distinct nodes that
-    have it as a child.  Iterative, like ``_postorder``."""
-    parents = {sentence: 0}
-    stack = [sentence]
-    while stack:
-        for c in _children(stack.pop()):
-            n = parents.get(c)
-            if n is None:
-                parents[c] = 1
-                stack.append(c)
-            else:
-                parents[c] = n + 1
-    return parents
 
 
 def quantifier_rank(sentence: Sentence) -> int:
@@ -491,40 +473,8 @@ def _mask_table(mask: int, size: int, arity: int) -> frozenset[tuple[int, ...]]:
 
 #: compiled programs are kept for this many of the most recently used
 #: (sentence, signature, free order) keys; a program holds a few hundred
-#: bytes per node it built, and the runners it shares with other programs
-#: live while any cached program reaches them, so this cap also bounds the
-#: runner table
+#: bytes per runner it built, and shares no runner with another program
 PROGRAM_CACHE_SIZE = 32
-
-
-class _RunnerRef(weakref.ref):
-    """A ``_RUNNERS`` entry: a weak reference to a shared runner, with the
-    deepest env slot the runner's subtree touches, the lowest slot it binds
-    (``inf`` if it binds none), and the entry's place."""
-
-    __slots__ = ("top", "low", "table", "key")
-
-
-def _forget_runner(ref: _RunnerRef) -> None:
-    """Drop the entry of a runner that died, unless it was replaced.  A
-    thread that replaces it between the test and the ``del`` loses its new
-    entry: that costs a rebuild, never a wrong runner."""
-    if ref.table.get(ref.key) is ref:
-        del ref.table[ref.key]
-
-
-#: runners shared by every compiled program: per signature, a table from a
-#: key to a ``_RunnerRef``.  A runner that serves every context has the key
-#: (node, slots of the node's free variables in ``node.free`` order); a
-#: program's plain root, memo-free where its node could memoize, has
-#: (node, False, number of free slots, slots...).  A runner lives while a
-#: cached program reaches it, and its entry goes with it; a signature's
-#: table stays, as signatures are few.  Keying each table by signature
-#: hashes the signature once per compilation, not once per node.
-_RUNNERS: dict[Signature, dict[tuple, _RunnerRef]] = {}
-#: memo numbers of the memoizing runners, unique in the process, so that
-#: runners from different compilations never share a memo key
-_NODE_NUMBERS = itertools.count()
 
 
 def _is_literal(node: Sentence) -> bool:
@@ -538,103 +488,41 @@ def _is_literal(node: Sentence) -> bool:
 def compile_sentence(sentence: Sentence, signature: Signature,
                      free_order: tuple[str, ...] = ()) -> Program:
     """Compile a formula to a kernel ``Program`` whose slots
-    ``0..len(free_order)-1`` hold the free variables in that order.  The
+    ``0..len(free_order)-1`` hold the free variables in that order; a
+    quantifier binds the slot after those of the quantifiers above it.  The
     ``PROGRAM_CACHE_SIZE`` most recently used programs are cached.
 
-    The rule: an and, or, exists or forall node N memoizes iff
-      (a) N has two or more parents in the sentence's DAG, a parent that is
-          a ``Not`` counting as often as the ``Not`` itself counts (a
-          ``Not`` has no memo), and N is not a conjunction or disjunction of
-          literals; or
-      (b) N has a quantifier at or below it, and some slot that an
-          enclosing quantifier binds, a shadowed one included, is not a
-          slot of N's free variables.
-    A memoizing runner is N's plain loop wrapped in ``pure.memoize``, keyed
-    by a number unique in the process and the values of N's free
-    variables' slots; every other runner is the plain loop alone.
+    A node gets one runner per (first slot its quantifiers bind, slots of
+    its free variables), built by this call alone, children first in
+    ``Program.ops``; as its quantifiers bind only slots past every live
+    one, a runner never overwrites a slot that its callers read.
 
-    The bound: a runner with a quantifier at or below it runs its body at
-    most once per distinct key (the runner and the values of its free
-    variables' slots), and a quantifier-free one costs at most its DAG size
-    per call, so shared DAGs and the deepest chains the parser admits stay
-    polynomial.  Memoizing runners keep it by their memo.  For a plain
-    runner N, by induction from the root, which runs once: N has one parent
-    runner P (past any ``Not``), so N runs at most once per body run of P
-    and value of the slot P binds, hence at most once per live environment
-    if P's body runs at most once per live environment of P.  It does: P
-    is plain with a quantifier at or below it (induction), or memoizing by
-    (a) with every enclosing quantifier's slot among its free variables'
-    (P cannot memoize by (b), for the slot that P leaves out would make N
-    memoize).  With (b) false, N's key fixes its live environment, as the
-    other live slots hold the free variables' fixed values; so N runs at
-    most once per key, and a memo could never hit.  A conjunction or
-    disjunction of literals costs its own size per call, against a lookup
-    per call.  Whether a quantifier lies at or below N is read off the
-    lowest slot that N's subtree binds.
+    The memo rule: every and, or, exists and forall runner memoizes on the
+    values of its free variables' slots, under its index in ``ops``, but
+    the root's, which runs once, and those of conjunctions and disjunctions
+    of literals, which cost their own size per call.
 
-    Sharing: a runner is built once per key and reused through
-    ``_RUNNERS`` by every program that reaches the node with that key.  A
-    memoizing runner, or one that never memoizes (an atom, an equality, a
-    conjunction or disjunction of literals, a ``Not`` over such a runner),
-    serves every context and is looked up first.  A plain runner has one
-    parent runner: only a program's plain root has an entry, and the first
-    parent that reaches it in another program takes the entry over, in the
-    context its key fixes; any other parent builds its own.  Beneath a
-    memoizing runner that another program built in another context, a
-    plain runner runs at most once per key of its own per key of that
-    runner.  A quantifier runner leaves its slot at the last value it
-    tried, so a runner reused below live env slots that its subtree binds
-    is wrapped to put them back.  ``Program.ops`` lists the node runners
-    this call built."""
+    So each runner's body runs at most once per value of its key, and a
+    shared DAG or the deepest chain the parser admits costs polynomial time
+    in its number of nodes, however large its expansion as a tree."""
     missing = sentence.free - set(free_order)
     if missing:
         raise MalformedSentenceError(
             f"unbound variables: {sorted(missing)}")
-    table = _RUNNERS.setdefault(signature, {})
-    prog = Program()
+    prog = Program(nslots=len(free_order))
     ops = prog.ops
     rel_index = signature.index
     arities = dict(signature.relations)
-    parents = _parent_counts(sentence)
-    nfree = len(free_order)
+    runners: dict[tuple, Callable] = {}
 
-    def uncovered(key: tuple, next_slot: int) -> bool:
-        """Whether an enclosing quantifier's slot (at or past ``nfree``)
-        lies outside the slots in ``key``: rule (b), given a quantifier at
-        or below the node."""
-        return sum(s >= nfree for s in key[1:]) < next_slot - nfree
-
-    def rec(node: Sentence, binding: dict[str, int], next_slot: int,
-            shared: bool = False) -> tuple[Callable, int, float, bool]:
-        """The node's runner, the deepest env slot its subtree touches, the
-        lowest slot it binds (``inf``: none, so no quantifier at or below
-        it), and whether it is plain.  ``shared``: the node is the child of
-        a ``Not`` that rule (a) counts twice or more."""
-        key = (node, *map(binding.__getitem__, node.free))
-        ref = table.get(key)
-        if ref is not None:
-            run = ref()
-            if run is not None:
-                if ref.low < next_slot:
-                    run = pure.restore(run, ref.low, next_slot)
-                return run, ref.top, ref.low, False
-        shared = shared or parents[node] > 1
-        if not shared:
-            # only a program's plain root has an entry, with the slots of
-            # its free variables all below nfree; a parent adopts it by
-            # taking the entry, unless rule (b) holds here
-            plain_key = (node, False, nfree, *key[1:])
-            ref = table.get(plain_key)
-            if ref is not None and not (ref.low < inf
-                                        and next_slot > nfree):
-                if node is not sentence:
-                    ref = table.pop(plain_key, None)
-                run = ref and ref()
-                if run is not None:
-                    return run, ref.top, ref.low, True
+    def rec(node: Sentence, binding: dict[str, int],
+            next_slot: int) -> Callable:
+        key = (node, next_slot, *map(binding.__getitem__, node.free))
+        run = runners.get(key)
+        if run is not None:
+            return run
         kind = type(node)
-        plain = memo = False
-        low = inf
+        memo = False
         if kind is Atom:
             if node.rel not in rel_index:
                 raise MalformedSentenceError(f"unknown relation {node.rel!r}")
@@ -642,53 +530,32 @@ def compile_sentence(sentence: Sentence, signature: Signature,
                 raise MalformedSentenceError(
                     f"relation {node.rel} expects {arities[node.rel]} "
                     f"arguments, got {len(node.args)}")
-            args = tuple(binding[v] for v in node.args)
-            run, top = pure.atom(rel_index[node.rel], args), max(args)
+            run = pure.atom(rel_index[node.rel],
+                            tuple(binding[v] for v in node.args))
         elif kind is Eq:
-            a, b = binding[node.left], binding[node.right]
-            run, top = pure.eq(a, b), max(a, b)
+            run = pure.eq(binding[node.left], binding[node.right])
         elif kind is Not:
-            child, top, low, plain = rec(node.child, binding, next_slot,
-                                         shared)
-            run = pure.not_(child)
+            run = pure.not_(rec(node.child, binding, next_slot))
         elif kind is And or kind is Or:
-            kids = [rec(c, binding, next_slot) for c in node.children]
-            top = max((k[1] for k in kids), default=-1)
-            low = min((k[2] for k in kids), default=inf)
             make = pure.and_ if kind is And else pure.or_
-            run = make(tuple(k[0] for k in kids))
-            # a conjunction or disjunction of literals serves every context:
-            # it never memoizes
-            if not all(map(_is_literal, node.children)):
-                memo = shared or (low < inf and uncovered(key, next_slot))
-                plain = not memo
+            run = make(tuple([rec(c, binding, next_slot)
+                              for c in node.children]))
+            memo = not all(map(_is_literal, node.children))
         else:  # Exists or Forall
             inner = dict(binding)
             inner[node.var] = next_slot
-            child, top, low, _plain = rec(node.child, inner, next_slot + 1)
-            top, low = max(top, next_slot), next_slot
+            prog.nslots = max(prog.nslots, next_slot + 1)
             make = pure.exists if kind is Exists else pure.forall
-            run = make(child, next_slot)
-            memo = shared or uncovered(key, next_slot)
-            plain = not memo
-        if memo:
-            # the slots the subtree reads are its free variables' slots
-            run = pure.memoize(run, (next(_NODE_NUMBERS),
-                                     tuple(sorted(key[1:]))))
+            run = make(rec(node.child, inner, next_slot + 1), next_slot)
+            memo = True
+        if memo and node is not sentence:
+            run = pure.memoize(run, (len(ops), key[2:]))
         ops.append(run)
-        if plain and node is not sentence:
-            # its parent is the one runner that calls it
-            return run, top, low, True
-        # filled in before it is published: another thread may look it up
-        ref = _RunnerRef(run, _forget_runner)
-        ref.top, ref.low, ref.table = top, low, table
-        ref.key = (node, False, nfree, *key[1:]) if plain else key
-        table[ref.key] = ref
-        return run, top, low, plain
+        runners[key] = run
+        return run
 
-    base = {v: i for i, v in enumerate(free_order)}
-    prog.run, top, _low, _plain = rec(sentence, base, nfree)
-    prog.nslots = max(top + 1, nfree)
+    prog.run = rec(sentence, {v: i for i, v in enumerate(free_order)},
+                   len(free_order))
     # rec reaches itself through its closure: unbinding it frees rec now
     # instead of at the next cyclic garbage collection
     del rec
@@ -1198,11 +1065,12 @@ def structure_from_json(data: dict) -> Structure:
 
 
 def load_json(path: str):
-    """The JSON value in a file; malformed JSON raises ParseError."""
+    """The JSON value in a file; malformed JSON, text that is not UTF-8 and
+    an integer too long to read raise ParseError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"bad JSON in {path}: {exc}") from None
 
 

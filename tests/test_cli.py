@@ -228,9 +228,10 @@ class TestVerifyCommand:
         assert r.returncode == 0
 
     def test_equivalent_under_reused_quantifier(self, tmp_path):
-        # the runner of ``(exists y (atom R x y))`` is reused under
-        # ``forall z``, where its bound slot holds z; the first disjunct is
-        # false, so the two theories are equivalent
+        # ``(exists y (atom R x y))`` occurs at two quantifier depths: under
+        # ``forall z`` it gets a runner of its own, binding the slot past
+        # z's; the first disjunct is false, so the two theories are
+        # equivalent
         theory = tmp_path / "t.json"
         theory.write_text(json.dumps([
             "(exists w (or (exists x (and (not (eq x x)) "
@@ -261,6 +262,34 @@ class TestErrorPaths:
     def test_missing_file_exits_2(self):
         r = run_cli("scott", "/nonexistent/file.json")
         assert r.returncode == 2
+
+    def test_directory_as_theory_exits_2(self, tmp_path):
+        r = run_cli("verify", str(tmp_path), "--independent")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:"), r.stderr
+
+    @pytest.mark.parametrize("command", [("verify", "--independent"),
+                                         ("setfam", "--check")])
+    def test_non_utf8_file_exits_2(self, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('["(exists x (atom \xc9 x))"]'.encode("latin-1"))
+        r = run_cli(*command, str(path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: bad JSON"), r.stderr
+
+    def test_integer_too_long_to_read_exits_2(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"size": ' + "9" * 5000 + "}")
+        r = run_cli("scott", str(path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: bad JSON"), r.stderr
+
+    def test_out_naming_a_file_exits_2(self, files, tmp_path):
+        taken = tmp_path / "report"
+        taken.write_text("")
+        r = run_cli("scott", str(files / "cycle3.json"), "--out", str(taken))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:"), r.stderr
 
     def test_structure_schema_error_exits_2(self, files, tmp_path):
         bad = tmp_path / "badstruct.json"
@@ -455,9 +484,8 @@ class TestDeepNesting:
         assert "independence: pass" in r.stdout
 
     def test_deepest_quantifier_tower_is_answered(self, tmp_path):
-        # every quantifier below the root is closed under a quantifier
-        # that binds another slot, so each one memoizes (rule (b) of
-        # compile_sentence) and its memo adds a stack frame per level
+        # every quantifier below the root memoizes (compile_sentence's
+        # rule), and its memo adds a stack frame per level
         from indepax.model import MAX_PARSE_DEPTH
         k = MAX_PARSE_DEPTH - 1  # the atom adds one level
         s = f"(atom P x{k - 1})"

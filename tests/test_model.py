@@ -667,9 +667,9 @@ class TestProgramCache:
         assert compiled.cache_info().misses == info.misses + 1
 
     def test_node_counts_are_pinned(self, ub_space):
-        # one runner per DAG node, each case compiled from an empty runner
-        # table; the last nine are the distinct nodes of the Hintikka
-        # builder's formulas
+        # one runner per DAG node and first slot its quantifiers bind, each
+        # case compiled afresh; the last nine are the Hintikka builder's
+        # formulas, whose literals recur at several quantifier depths
         import random
         from indepax import generators, scott
         sig = ub_space.signature
@@ -684,39 +684,8 @@ class TestProgramCache:
                       (scott.type_formula(M, (1, 0), 1), ("x1", "x0"))]
         counts = [len(_compile_fresh(s, sig, order).ops)
                   for s, order in cases]
-        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 4, 5, 80, 51, 37, 408,
-                          64, 37, 315, 57, 36]
-
-    def test_program_builds_only_its_new_nodes(self, ub_space):
-        import random
-        from indepax import generators
-        sig = ub_space.signature
-        rng = random.Random(43)
-        for _ in range(10):
-            first = generators.random_formula(rng, 5)
-            both = And([first, generators.random_formula(rng, 5)])
-            if both is first:
-                continue
-            n_both = len(_compile_fresh(both, sig, ()).ops)
-            n_first = len(_compile_fresh(first, sig, ()).ops)
-            # ``first`` stays cached, so ``both`` reuses all of its runners
-            assert len(model.compile_sentence(both, sig, ()).ops) \
-                == n_both - n_first
-            for M in ub_space.representatives[::37]:
-                assert model.eval(M, both) == reference_holds(M, both)
-
-    def test_reused_runner_sets_the_program_slots(self, ub_space):
-        # the inner sentence's runners bind slots 2 and 3 when it is first
-        # compiled under two quantifiers; compiled alone it builds nothing,
-        # and its program must still make room for slot 3
-        inner = parse_sentence("(exists x (forall z (atom R x z)))")
-        outer = Exists("a", Exists("b", inner))
-        sig = ub_space.signature
-        _compile_fresh(outer, sig, ())
-        prog = model.compile_sentence(inner, sig, ())
-        assert prog.ops == [] and prog.nslots == 4
-        for M in ub_space.representatives[::11]:
-            assert model.eval(M, inner) == reference_holds(M, inner)
+        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 5, 5, 98, 67, 50, 456,
+                          79, 49, 363, 73, 47]
 
     def test_quantified_runner_reused_deeper_keeps_the_live_slot(self):
         # ``(exists y (atom R x y))`` is built under one quantifier binding
@@ -735,19 +704,6 @@ class TestProgramCache:
         assert space.satset(s) == space.satset(equivalent)
         assert bin(space.satset(s)).count("1") == 39
 
-    def test_clearing_the_cache_empties_the_runner_table(self, ub_space):
-        import gc
-        import random
-        from indepax import generators
-        rng = random.Random(47)
-        for _ in range(20):
-            model.compile_sentence(generators.random_formula(rng, 5),
-                                   ub_space.signature, ())
-        assert any(model._RUNNERS.values())
-        model.compile_sentence.cache_clear()
-        gc.collect()
-        assert not any(model._RUNNERS.values())
-
 
 # Sentences whose tree expansion no evaluation could walk: each binds
 # ``sentence`` and calls ``prepare`` on what a run compiles first.
@@ -759,6 +715,15 @@ for _ in range(60):
     body = Or([And([body, Not(Atom("P", ("x",)))]),
                And([body, Atom("P", ("x",))])])
 sentence = Exists("x", body)
+"""
+#: the same 2**60 paths with no quantifier in them, under two quantifiers
+_QUANTIFIER_FREE_DAG = """
+from indepax.model import And, Atom, Exists, Forall, Not, Or
+body = Atom("R", ("x", "y"))
+for _ in range(60):
+    body = Or([And([body, Not(Atom("P", ("y",)))]),
+               And([body, Atom("P", ("x",))])])
+sentence = Forall("x", Exists("y", body))
 """
 #: 300 foralls over a closed exists, n**300 environments in a tree walk
 _QUANTIFIER_TOWER = """
@@ -832,26 +797,34 @@ def _built(builder):
 
 
 class TestMemoRule:
-    """A runner memoizes only where a key can repeat, and the bound holds:
-    DAGs far larger as trees evaluate in a child process under a timeout,
-    as ``reference_holds`` answers."""
+    """Every and, or and quantifier runner memoizes but the root's and those
+    of conjunctions and disjunctions of literals, and the bound holds: DAGs
+    far larger as trees evaluate in a child process under a timeout, as
+    ``reference_holds`` answers."""
 
-    @pytest.mark.parametrize("text, memoizes", [
-        # the forall's slot is the or's; the or is a disjunction of
-        # literals, and the root runs once
-        ("(exists x (forall y (or (atom R x y) (atom P y))))", False),
-        # the closed exists runs under a forall whose slot it never reads
-        ("(forall x (exists y (atom P y)))", True),
+    @pytest.mark.parametrize("text, memoized", [
+        # the forall (runner 3) on x; the or is a disjunction of literals,
+        # and the root runs once
+        ("(exists x (forall y (or (atom R x y) (atom P y))))", {3}),
+        # the closed exists (runner 1)
+        ("(forall x (exists y (atom P y)))", {1}),
+        # a quantifier-free conjunction (runner 4) over a disjunction of
+        # literals (runner 2), which reuses the atom of the negation
+        ("(exists x (and (or (atom P x) (atom R x x)) (not (atom P x))))",
+         {4}),
+        ("(exists x (or (atom R x x) (atom P x)))", set()),
     ])
     def test_memo_only_where_a_key_can_repeat(self, ub_space, text,
-                                              memoizes):
+                                              memoized):
         prog = _compile_fresh(parse_sentence(text), ub_space.signature, ())
+        numbers = set()
         for M in ub_space.representatives[::50]:
             memo = {}
             # the context of one structure: a run of width 1
             prog.run([0] * prog.nslots,
                      (M.size, M.masks, memo, 1, range(M.size)))
-            assert bool(memo) == memoizes
+            numbers |= {k if type(k) is int else k[0] for k in memo}
+        assert numbers == memoized
 
     @pytest.mark.parametrize("builder", [_SHARED_DAG, _QUANTIFIER_TOWER,
                                          _ADOPTED_CHAIN],
@@ -879,6 +852,18 @@ class TestMemoRule:
         for satset_of in ("sentence", "model.Exists('w', model.And("
                           "[model.Eq('w', 'w'), sentence]))"):
             assert _eval_in_child(builder, reps, satset_of=satset_of) == want
+
+    def test_quantifier_free_dag_evaluates_within_the_bound(self,
+                                                             ub_space):
+        # a rule that memoized only runners with a quantifier at or below
+        # them would walk all 2**60 paths of the body
+        sentence = _built(_QUANTIFIER_FREE_DAG)
+        assert model.sexpr_length(sentence) > 2 ** 60
+        reps = ub_space.representatives[::40]
+        want = [reference_holds(M, sentence) for M in reps]
+        assert _eval_in_child(_QUANTIFIER_FREE_DAG, reps) == want
+        assert _eval_in_child(_QUANTIFIER_FREE_DAG, reps,
+                              satset_of="sentence") == want
 
     def test_dag_expansions_are_large(self):
         for builder in (_SHARED_DAG, _ADOPTED_CHAIN):
@@ -1077,12 +1062,9 @@ class TestQuantifierRank:
 
 
 def _compile_fresh(sentence, signature, free_order):
-    """``compile_sentence`` from an empty runner table, so that its program
-    builds a runner for every node."""
-    import gc
+    """``compile_sentence`` with an empty program cache, so that the program
+    is built by this call."""
     model.compile_sentence.cache_clear()
-    gc.collect()
-    assert not any(model._RUNNERS.values())
     return model.compile_sentence(sentence, signature, free_order)
 
 

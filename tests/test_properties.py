@@ -2,8 +2,8 @@
 through the text format and evaluate the same way per structure, as
 satisfaction bitsets, and under a Tarskian reference evaluator over the
 AST that shares no code with the compiler or the kernel; and sentences
-compiled one after another, reusing each other's node runners, evaluate as
-that reference does."""
+compiled one after another, sharing subformulas at other quantifier
+depths, evaluate as that reference does."""
 
 import itertools
 import random
