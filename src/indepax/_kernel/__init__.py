@@ -22,7 +22,11 @@ tuples of length 0..n_max in heap order (by length, each length in product
 order), so the one-element extensions of a size-n structure's local item i
 are its items n*i+1 .. n*i+n, and items at the length cap have none.  It
 returns ``(levels, stable)``: one ``array('i')`` of labels per level, and
-the first level whose refinement is itself.
+the first level whose refinement is itself.  The classes of the length-l
+tuples are final from level n_max - l on (those at the cap have no
+extensions, and each shorter length follows one level after the length
+above it), so it refines only the shorter lengths, and stops at level
+n_max at the latest, without a pass that confirms it.
 """
 
 from . import pure

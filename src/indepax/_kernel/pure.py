@@ -18,8 +18,9 @@ single structure is the run of width 1.
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 BACKEND = "pure"
 
@@ -193,6 +194,16 @@ def eval_program(prog: Program, size: int, masks: tuple[int, ...],
                      range(0, size * width, width)))
 
 
+def dense_labels(table: dict, keys: Sequence) -> map:
+    """The labels of ``keys`` in ``table``, which first gives each new key
+    the next dense label, in order of first occurrence: what
+    ``table.setdefault(key, len(table))`` per key gives, with no Python
+    loop."""
+    fresh = list(filterfalse(table.__contains__, dict.fromkeys(keys)))
+    table.update(zip(fresh, range(len(table), len(table) + len(fresh))))
+    return map(table.__getitem__, keys)
+
+
 def refine_levels(sizes: list[int], n_max: int, init_labels: list[int]):
     """Iterate one-step signature refinement until the partition repeats.
 
@@ -206,30 +217,45 @@ def refine_levels(sizes: list[int], n_max: int, init_labels: list[int]):
     result is deterministic.  Returns (levels, stable) with levels[k] the
     labels at level k as an ``array('i')`` and ``stable`` the first level
     whose refinement is itself.
+
+    The final-block rule: the classes of the length-l tuples are final from
+    level n_max - l on.  Tuples at the cap have no extensions, and a length
+    whose extensions' classes are final at level a has final classes at
+    level a + 1.  So from then on a length-l item is keyed by its label
+    alone, which gives the same dense labels (an int key never equals a
+    tuple key, and a final class does not split), and level n_max is
+    returned as stable without a pass that confirms it.
     """
-    # per structure: its first item, its first item at the cap, its end
-    spans, base = [], 0
+    # per structure: its size, and the first item of each length 0..n_max,
+    # then its end
+    spans, end = [], 0
     for n in sizes:
-        cap = base + sum(n ** k for k in range(n_max))
-        spans.append((n, base, cap, cap + n ** n_max))
-        base = cap + n ** n_max
+        bounds = [end]
+        for k in range(n_max + 1):
+            bounds.append(bounds[-1] + n ** k)
+        spans.append((n, bounds))
+        end = bounds[-1]
     # the level being refined stays a list: an array boxes an int per read
     cur = list(init_labels)
     levels = []
     nclasses = len(set(cur))
     while True:
         levels.append(array("i", cur))
-        sig2new: dict[tuple, int] = {}
+        level = len(levels) - 1
+        if level == n_max:
+            return levels, level
+        sig2new: dict = {}
         new: list[int] = []
-        for n, base, cap, end in spans:
+        for n, bounds in spans:
+            # lengths below n_max - level can still split; the rest are final
+            base, fin, end = bounds[0], bounds[n_max - level], bounds[-1]
             new += [sig2new.setdefault((lab, *sorted(set(cur[f:f + n]))),
                                        len(sig2new))
-                    for lab, f in zip(cur[base:cap], range(base + 1, end, n))]
-            new += [sig2new.setdefault((lab,), len(sig2new))
-                    for lab in cur[cap:end]]
+                    for lab, f in zip(cur[base:fin], range(base + 1, end, n))]
+            new += dense_labels(sig2new, cur[fin:end])
         # refinement only ever splits classes, so an unchanged count means
         # an identical partition
         if len(sig2new) == nclasses:
-            return levels, len(levels) - 1
+            return levels, level
         nclasses = len(sig2new)
         cur = new

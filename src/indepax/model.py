@@ -492,10 +492,12 @@ def compile_sentence(sentence: Sentence, signature: Signature,
     quantifier binds the slot after those of the quantifiers above it.  The
     ``PROGRAM_CACHE_SIZE`` most recently used programs are cached.
 
-    A node gets one runner per (first slot its quantifiers bind, slots of
-    its free variables), built by this call alone, children first in
-    ``Program.ops``; as its quantifiers bind only slots past every live
-    one, a runner never overwrites a slot that its callers read.
+    A node gets one runner per slots of its free variables and, if it has
+    quantifiers, first slot they bind, built by this call alone, children
+    first in ``Program.ops``; as its quantifiers bind only slots past every
+    live one, a runner never overwrites a slot that its callers read, and
+    a quantifier-free node's runner binds none, so it serves every
+    quantifier depth.
 
     The memo rule: every and, or, exists and forall runner memoizes on the
     values of its free variables' slots, under its index in ``ops``, but
@@ -514,15 +516,20 @@ def compile_sentence(sentence: Sentence, signature: Signature,
     rel_index = signature.index
     arities = dict(signature.relations)
     runners: dict[tuple, Callable] = {}
+    quantifier_free: dict[Sentence, bool] = {}  # per node built
 
     def rec(node: Sentence, binding: dict[str, int],
             next_slot: int) -> Callable:
-        key = (node, next_slot, *map(binding.__getitem__, node.free))
+        used = tuple(map(binding.__getitem__, node.free))
+        # a node not built yet has no runner under either key
+        key = ((node, used) if quantifier_free.get(node)
+               else (node, next_slot, used))
         run = runners.get(key)
         if run is not None:
             return run
         kind = type(node)
         memo = False
+        qf = True
         if kind is Atom:
             if node.rel not in rel_index:
                 raise MalformedSentenceError(f"unknown relation {node.rel!r}")
@@ -536,11 +543,13 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             run = pure.eq(binding[node.left], binding[node.right])
         elif kind is Not:
             run = pure.not_(rec(node.child, binding, next_slot))
+            qf = quantifier_free[node.child]
         elif kind is And or kind is Or:
             make = pure.and_ if kind is And else pure.or_
             run = make(tuple([rec(c, binding, next_slot)
                               for c in node.children]))
             memo = not all(map(_is_literal, node.children))
+            qf = all(map(quantifier_free.__getitem__, node.children))
         else:  # Exists or Forall
             inner = dict(binding)
             inner[node.var] = next_slot
@@ -548,8 +557,12 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             make = pure.exists if kind is Exists else pure.forall
             run = make(rec(node.child, inner, next_slot + 1), next_slot)
             memo = True
+            qf = False
+        quantifier_free[node] = qf
+        if qf:
+            key = (node, used)
         if memo and node is not sentence:
-            run = pure.memoize(run, (len(ops), key[2:]))
+            run = pure.memoize(run, (len(ops), used))
         ops.append(run)
         runners[key] = run
         return run

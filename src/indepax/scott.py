@@ -26,6 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from struct import Struct
 from typing import Optional
 
 from . import _kernel
@@ -37,14 +38,15 @@ from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
 
 
 # Items are (structure, tuple) pairs, kept only as one array('i') of labels
-# per level (about 18 bytes per item).  Refinement peaks at about 95 bytes
+# per level (about 20 bytes per item).  Refinement peaks at about 75 bytes
 # of heap per item on large spaces (R/2 at max-size 4: 1,050,908 items,
-# 127 MB peak RSS; 1,999,965 items of size-4 P/1 + R/2 classes: 227 MB),
-# so the cap keeps a partition under about 230 MB.
+# 104 MB peak RSS; 1,999,965 items of size-4 P/1 + R/2 classes: 184 MB),
+# so the cap keeps a partition under about 190 MB.
 MAX_PARTITION_ITEMS = 2_000_000
-# Building the fact table behind one tuple length's atomic types peaks at
-# about 16 bytes of heap per entry (R/16 at size 2, pairs: 1,310,720
-# entries, 20.5 MB), so the cap keeps one under about 32 MB.
+# Building the table that reads the atomic types of all tuples over one
+# structure size (``_code_reader``) peaks at about 42 bytes of heap per
+# entry and keeps 16 (R/18 at size 2, tuples up to pairs: 1,048,622
+# entries, 43 MB at the peak), so the cap keeps one under about 85 MB.
 MAX_FACT_TABLE_ENTRIES = 2_000_000
 
 
@@ -135,48 +137,51 @@ class PartitionItems:
 
 
 @lru_cache(maxsize=64)
-def _eq_patterns(size: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Equality pattern of each k-tuple over ``size`` elements, in product
-    order: position i holds the first position with the same value."""
-    return tuple(tuple(tup.index(v) for v in tup)
-                 for tup in itertools.product(range(size), repeat=k))
+def _code_reader(size: int, n_max: int,
+                 arities: tuple[int, ...]) -> tuple[itemgetter, Struct]:
+    """A getter of the characters of the atomic types of all tuples of
+    length 0..n_max over ``size`` elements, in the partition's layout
+    order, from a structure's fact text (see ``_atomic_codes``), and the
+    ``Struct`` that cuts them into one code per tuple.  A k-tuple's code is
+    k + sum(k**a) characters: per position, the character of the alphabet
+    at the first position with the same value, then per relation the bits
+    of its values at every position combination of the relation's arity,
+    combinations in product order."""
+    offsets, at = [], 0
+    for a in arities:
+        offsets.append(at)
+        at += size ** a
+    chars_of = list(range(at + n_max))  # one int object per character
+    idx: list[int] = []
+    widths = ["0s"]
+    for k in range(1, n_max + 1):
+        widths += [f"{k + sum(k ** a for a in arities)}s"] * size ** k
+        for tup in itertools.product(range(size), repeat=k):
+            chars = [at + tup.index(v) for v in tup]
+            for a, off in zip(arities, offsets):
+                # fold-left bit indices, as in ``Structure.masks``, then
+                # offset into the text in the last step
+                cells = [0]
+                for _ in range(a - 1):
+                    cells = [c * size + v for c in cells for v in tup]
+                chars += [off + c * size + v for c in cells for v in tup]
+            idx += map(chars_of.__getitem__, chars)
+    return itemgetter(*idx), Struct("".join(widths))
 
 
-@lru_cache(maxsize=64)
-def _fact_getters(size: int, k: int, arity: int) -> tuple[itemgetter, ...]:
-    """Per k-tuple over ``size`` elements, in product order, a getter of the
-    fold-left bit indices (as in ``Structure.masks``) of the tuple's values
-    at every position combination of length ``arity``, combinations in
-    product order.  Needs k >= 1."""
-    combos = list(itertools.product(range(k), repeat=arity))
-    out = []
-    for tup in itertools.product(range(size), repeat=k):
-        bits = []
-        for combo in combos:
-            idx = 0
-            for i in combo:
-                idx = idx * size + tup[i]
-            bits.append(idx)
-        out.append(itemgetter(*bits))
-    return tuple(out)
-
-
-def _atomic_codes(M: Structure, k: int) -> tuple[tuple, ...]:
-    """Atomic type of every k-tuple of M, in ``itertools.product`` order:
-    ``(k, equality pattern, facts)`` with one int per relation whose bits,
-    first combination highest, say which position combinations hold.
-    Comparable across structures that share a signature."""
-    pats = _eq_patterns(M.size, k)
-    if k == 0 or not M.masks:
-        facts = (0,) * len(M.masks)
-        return tuple((k, pat, facts) for pat in pats)
-    columns = []
-    for (_name, arity), mask in zip(M.signature.relations, M.masks):
-        # bit idx of the mask is character idx of this string
-        bits = format(mask, f"0{M.size ** arity}b")[::-1]
-        columns.append([int("".join(get(bits)), 2)
-                        for get in _fact_getters(M.size, k, arity)])
-    return tuple((k, pat, facts) for pat, facts in zip(pats, zip(*columns)))
+def _atomic_codes(M: Structure, n_max: int) -> tuple[bytes, ...]:
+    """The atomic types of M's tuples of length 0..n_max, in the
+    partition's layout order, as byte strings: equal, for structures over
+    one signature, iff the tuples have the same length, equality pattern
+    and relation facts.  They are read in one gather from M's fact text:
+    every relation's mask as a bit string, bit i at character i, then an
+    alphabet of n_max characters."""
+    arities = tuple(a for _name, a in M.signature.relations)
+    get, cut = _code_reader(M.size, n_max, arities)
+    text = "".join([*(format(mask, f"0{M.size ** a}b")[::-1]
+                      for a, mask in zip(arities, M.masks)),
+                    *map(chr, range(n_max))])
+    return cut.unpack("".join(get(text)).encode())
 
 
 def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
@@ -189,8 +194,8 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
 
     Raises EnumerationOverflowError, before allocating anything, when the
     partition would have more than ``MAX_PARTITION_ITEMS`` items, or the
-    table of relation facts behind one tuple length's atomic types more
-    than ``MAX_FACT_TABLE_ENTRIES`` entries.
+    table that reads the atomic types of the tuples over one structure
+    size more than ``MAX_FACT_TABLE_ENTRIES`` entries.
     """
     structures = tuple(structures)
     if not structures:
@@ -212,29 +217,28 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         raise EnumerationOverflowError(
             f"joint type partition of {count} items exceeds cap "
             f"{MAX_PARTITION_ITEMS}")
-    # the atomic types of k-tuples over ``size`` elements read a relation
-    # of arity a through ``_fact_getters(size, k, a)``: k**a position
-    # combinations of a positions each, and size**k getters of one bit
-    # index per combination.  The item cap bounds k, and ``Structure.make``
-    # bounds a at sizes over 1.
+    # the atomic types of the tuples over ``size`` elements are read through
+    # ``_code_reader``: per k-tuple, k alphabet indices, and per relation of
+    # arity a one bit index per position combination, k**a of them, each
+    # folded in a steps (which counts when k is 1).  The item cap bounds k,
+    # and ``Structure.make`` bounds a at sizes over 1.
+    arities = [a for _name, a in sig.relations]
     for size in sorted({M.size for M in structures}):
-        for k, (name, arity) in itertools.product(range(1, n_max + 1),
-                                                  sig.relations):
-            entries = (size ** k + arity) * k ** arity
+        entries = 0
+        for k in range(1, n_max + 1):
+            entries += size ** k * (k + sum(max(k ** a, a) for a in arities))
             if entries > MAX_FACT_TABLE_ENTRIES:
                 raise EnumerationOverflowError(
                     f"atomic types of the {k}-tuples of size {size} exceed "
-                    f"cap {MAX_FACT_TABLE_ENTRIES}: reading relation {name} "
-                    f"takes a table of {entries} entries")
+                    f"cap {MAX_FACT_TABLE_ENTRIES}: reading the tuples of "
+                    f"length up to {k} takes a table of {entries} entries")
 
     starts = []
     init: list[int] = []
-    code_label: dict[tuple, int] = {}
+    code_label: dict[bytes, int] = {}
     for M in structures:
         starts.append(len(init))
-        for length in range(n_max + 1):
-            init.extend(code_label.setdefault(code, len(code_label))
-                        for code in _atomic_codes(M, length))
+        init += _kernel.pure.dense_labels(code_label, _atomic_codes(M, n_max))
 
     levels, stable = _kernel.active.refine_levels(
         [M.size for M in structures], n_max, init)

@@ -667,9 +667,10 @@ class TestProgramCache:
         assert compiled.cache_info().misses == info.misses + 1
 
     def test_node_counts_are_pinned(self, ub_space):
-        # one runner per DAG node and first slot its quantifiers bind, each
-        # case compiled afresh; the last nine are the Hintikka builder's
-        # formulas, whose literals recur at several quantifier depths
+        # one runner per DAG node, slots of its free variables and, for a
+        # node with quantifiers, first slot they bind, each case compiled
+        # afresh; the last nine are the Hintikka builder's formulas, whose
+        # literals recur at several quantifier depths with one runner
         import random
         from indepax import generators, scott
         sig = ub_space.signature
@@ -684,14 +685,16 @@ class TestProgramCache:
                       (scott.type_formula(M, (1, 0), 1), ("x1", "x0"))]
         counts = [len(_compile_fresh(s, sig, order).ops)
                   for s, order in cases]
-        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 5, 5, 98, 67, 50, 456,
-                          79, 49, 363, 73, 47]
+        assert counts == [5, 10, 6, 6, 9, 3, 1, 22, 4, 5, 80, 51, 37, 408,
+                          64, 37, 315, 57, 36]
+        assert counts == [len(model._postorder(s)) for s, _ in cases]
 
     def test_quantified_runner_reused_deeper_keeps_the_live_slot(self):
-        # ``(exists y (atom R x y))`` is built under one quantifier binding
-        # y to slot 2, then reused inside ``forall z``, where z holds slot
-        # 2; the runner restores it, so ``(atom R x z)`` reads z.  The first
-        # disjunct is false, so the sentence says what ``equivalent`` says
+        # ``(exists y (atom R x y))`` occurs under one quantifier, binding y
+        # to slot 2, and inside ``forall z``, where z holds slot 2; there it
+        # gets its own runner, which binds y to slot 3, so ``(atom R x z)``
+        # still reads z.  The first disjunct is false, so the sentence says
+        # what ``equivalent`` says
         s = parse_sentence(
             "(exists w (or (exists x (and (not (eq x x)) "
             "(exists y (atom R x y)))) (exists x (forall z "

@@ -178,10 +178,10 @@ def _formula_chain(rng: random.Random, count: int, sig: model.Signature):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("seed", (7, 9))
 def test_runners_shared_across_sentences_evaluate_correctly(case, seed):
-    # each sentence is compiled after the ones it shares nodes with, so its
-    # program reuses their runners at other quantifier depths; in each case
-    # one of the two chains reuses a runner under a quantifier that holds
-    # the runner's bound slot
+    # each sentence is compiled after the ones it shares nodes with, and its
+    # program builds its own runners for those nodes, at other quantifier
+    # depths; in each case one of the two chains reaches a shared node under
+    # a quantifier that holds the slot the node's runner binds elsewhere
     sig, reps = structures(case)
     model.compile_sentence.cache_clear()
     for s in _formula_chain(random.Random(seed), 300, sig):

@@ -242,15 +242,22 @@ SIGNATURES = {
 class TestAtomicCodes:
     @pytest.mark.parametrize("name", sorted(SIGNATURES))
     def test_match_set_membership_oracle(self, name):
+        # over every tuple of length <= 4 of twelve random structures of
+        # sizes 1-4, two tuples share a code iff they share an atomic type
         sig = SIGNATURES[name]
         rng = random.Random(name)
+        pairs = set()
         for n in (1, 2, 3, 4):
             for _ in range(3):
                 M = random_structure(rng, sig, n)
-                for k in range(5):
-                    want = tuple(reference_atomic_code(M, tup) for tup
-                                 in itertools.product(range(n), repeat=k))
-                    assert scott._atomic_codes(M, k) == want
+                tuples = [tup for length in range(5)
+                          for tup in itertools.product(range(n), repeat=length)]
+                codes = scott._atomic_codes(M, 4)
+                assert len(codes) == len(tuples)
+                pairs |= {(code, reference_atomic_code(M, tup))
+                          for code, tup in zip(codes, tuples)}
+        assert len(pairs) == len({code for code, _ in pairs}) \
+            == len({ref for _, ref in pairs})
 
     def test_formula_atomic_nodes_match_level_zero_labels(self,
                                                            binary_space):
@@ -306,6 +313,40 @@ class TestJointPartitionReference:
                            for idx, (si, tup) in enumerate(items)
                            if (sat >> si) & 1 and not tup}
                     assert scott.alpha_types_of(s, alpha, space) == (psi, phi)
+
+    def test_stabilization_at_and_below_the_length_cap(self):
+        # each case has a size-1 structure; some stabilize at n_max, whose
+        # level is returned without a pass that confirms it, the others
+        # below it.  The reference shows the final-block rule too: the
+        # classes of the length-l tuples do not change from level
+        # n_max - l on
+        seen = set()
+        for name in sorted(SIGNATURES):
+            sig = SIGNATURES[name]
+            rng = random.Random(f"stable-{name}")
+            for sizes, p in itertools.product(
+                    ((1, 2), (2, 1, 2), (1, 3), (3, 1, 1), (2, 3, 1),
+                     (1, 4), (3, 3, 1)), (0.3, 0.5)):
+                structs = [random_structure(rng, sig, n, p) for n in sizes]
+                items, levels, stable = reference_partition(structs)
+                part = scott.joint_type_partition(structs)
+                assert part.stabilization_level == stable
+                assert [list(lv) for lv in part.levels] == levels
+                n_max = part.n_max
+                seen.add(stable == n_max)
+                for length in range(n_max + 1):
+                    block = [i for i, (_si, tup) in enumerate(items)
+                             if len(tup) == length]
+                    final = {tuple(levels[lv][i] for lv in
+                                   range(min(n_max - length, stable),
+                                         stable + 1))
+                             for i in block}
+                    assert len(final) == len({row[0] for row in final})
+        assert seen == {True, False}
+
+    def test_scott_height_matches_reference(self, binary_space):
+        for M in binary_space.representatives:
+            assert scott.scott_height(M) == reference_partition([M])[2]
 
     def test_class_at_rejects_untracked_tuples(self, sig):
         part = scott.joint_type_partition([cycle(sig, 2), cycle(sig, 3)])
