@@ -43,10 +43,10 @@ from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
 # 104 MB peak RSS; 1,999,965 items of size-4 P/1 + R/2 classes: 184 MB),
 # so the cap keeps a partition under about 190 MB.
 MAX_PARTITION_ITEMS = 2_000_000
-# Building the table that reads the atomic types of all tuples over one
-# structure size (``_code_reader``) peaks at about 42 bytes of heap per
-# entry and keeps 16 (R/18 at size 2, tuples up to pairs: 1,048,622
-# entries, 43 MB at the peak), so the cap keeps one under about 85 MB.
+# The table that reads one relation's facts at the k-tuples of one
+# structure size (``_fact_reader``) takes about 9 bytes of heap per entry,
+# at the peak of building it and kept (R/2 at size 6, 6-tuples: 1,679,688
+# entries, 15 MB), so the cap keeps one under about 18 MB.
 MAX_FACT_TABLE_ENTRIES = 2_000_000
 
 
@@ -137,51 +137,62 @@ class PartitionItems:
 
 
 @lru_cache(maxsize=64)
-def _code_reader(size: int, n_max: int,
-                 arities: tuple[int, ...]) -> tuple[itemgetter, Struct]:
-    """A getter of the characters of the atomic types of all tuples of
-    length 0..n_max over ``size`` elements, in the partition's layout
-    order, from a structure's fact text (see ``_atomic_codes``), and the
-    ``Struct`` that cuts them into one code per tuple.  A k-tuple's code is
-    k + sum(k**a) characters: per position, the character of the alphabet
-    at the first position with the same value, then per relation the bits
-    of its values at every position combination of the relation's arity,
-    combinations in product order."""
-    offsets, at = [], 0
-    for a in arities:
-        offsets.append(at)
-        at += size ** a
-    chars_of = list(range(at + n_max))  # one int object per character
-    idx: list[int] = []
-    widths = ["0s"]
-    for k in range(1, n_max + 1):
-        widths += [f"{k + sum(k ** a for a in arities)}s"] * size ** k
-        for tup in itertools.product(range(size), repeat=k):
-            chars = [at + tup.index(v) for v in tup]
-            for a, off in zip(arities, offsets):
-                # fold-left bit indices, as in ``Structure.masks``, then
-                # offset into the text in the last step
-                cells = [0]
-                for _ in range(a - 1):
-                    cells = [c * size + v for c in cells for v in tup]
-                chars += [off + c * size + v for c in cells for v in tup]
-            idx += map(chars_of.__getitem__, chars)
-    return itemgetter(*idx), Struct("".join(widths))
+def _eq_codes(size: int, k: int) -> tuple[bytes, ...]:
+    """Equality pattern of every k-tuple over ``size`` elements, in product
+    order: byte i is the first position with the same value as i."""
+    return tuple(bytes(map(tup.index, tup))
+                 for tup in itertools.product(range(size), repeat=k))
 
 
-def _atomic_codes(M: Structure, n_max: int) -> tuple[bytes, ...]:
+@lru_cache(maxsize=64)
+def _fact_reader(size: int, k: int,
+                 arity: int) -> tuple[itemgetter, Struct]:
+    """A getter of the characters of a relation's bit string (bit i at
+    character i) that hold its facts at every k-tuple over ``size``
+    elements, in product order, and the ``Struct`` that cuts them into one
+    field per tuple: the bits of the tuple's values at every position
+    combination of length ``arity``, combinations in product order.
+    Needs k >= 1."""
+    chars_of = list(range(size ** arity))  # one int object per character
+    cells = itertools.chain.from_iterable(
+        _cells_at(tup, size, arity)
+        for tup in itertools.product(range(size), repeat=k))
+    return (itemgetter(*map(chars_of.__getitem__, cells)),
+            Struct(f"{k ** arity}s" * size ** k))
+
+
+def _cells_at(tup: tuple[int, ...], size: int, arity: int) -> list[int]:
+    """The fold-left bit indices (as in ``Structure.masks``) of ``tup``'s
+    values at every position combination of length ``arity``, combinations
+    in product order, built by squaring: O(log arity) list steps."""
+    if arity == 1:
+        return list(tup)
+    half = _cells_at(tup, size, arity // 2)
+    shift = size ** (arity // 2)
+    cells = [c * shift + d for c in half for d in half]
+    if arity % 2:
+        cells = [c * size + v for c in cells for v in tup]
+    return cells
+
+
+def _atomic_codes(M: Structure, n_max: int) -> list[bytes]:
     """The atomic types of M's tuples of length 0..n_max, in the
     partition's layout order, as byte strings: equal, for structures over
     one signature, iff the tuples have the same length, equality pattern
-    and relation facts.  They are read in one gather from M's fact text:
-    every relation's mask as a bit string, bit i at character i, then an
-    alphabet of n_max characters."""
-    arities = tuple(a for _name, a in M.signature.relations)
-    get, cut = _code_reader(M.size, n_max, arities)
-    text = "".join([*(format(mask, f"0{M.size ** a}b")[::-1]
-                      for a, mask in zip(arities, M.masks)),
-                    *map(chr, range(n_max))])
-    return cut.unpack("".join(get(text)).encode())
+    and relation facts.  A k-tuple's code is its ``_eq_codes`` field, then
+    per relation its ``_fact_reader`` field: k + sum(k**a) bytes, so the
+    length tells k apart.  Each relation's facts are read for a whole
+    length block in one gather from its bit string."""
+    bits = [format(mask, f"0{M.size ** a}b")[::-1]
+            for (_name, a), mask in zip(M.signature.relations, M.masks)]
+    codes = [b""]
+    for k in range(1, n_max + 1):
+        columns = [_eq_codes(M.size, k)]
+        for (_name, a), text in zip(M.signature.relations, bits):
+            get, cut = _fact_reader(M.size, k, a)
+            columns.append(cut.unpack("".join(get(text)).encode()))
+        codes += map(b"".join, zip(*columns))
+    return codes
 
 
 def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
@@ -194,8 +205,8 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
 
     Raises EnumerationOverflowError, before allocating anything, when the
     partition would have more than ``MAX_PARTITION_ITEMS`` items, or the
-    table that reads the atomic types of the tuples over one structure
-    size more than ``MAX_FACT_TABLE_ENTRIES`` entries.
+    table that reads one relation's facts at one tuple length over one
+    structure size more than ``MAX_FACT_TABLE_ENTRIES`` entries.
     """
     structures = tuple(structures)
     if not structures:
@@ -217,21 +228,20 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
         raise EnumerationOverflowError(
             f"joint type partition of {count} items exceeds cap "
             f"{MAX_PARTITION_ITEMS}")
-    # the atomic types of the tuples over ``size`` elements are read through
-    # ``_code_reader``: per k-tuple, k alphabet indices, and per relation of
-    # arity a one bit index per position combination, k**a of them, each
-    # folded in a steps (which counts when k is 1).  The item cap bounds k,
-    # and ``Structure.make`` bounds a at sizes over 1.
-    arities = [a for _name, a in sig.relations]
+    # the atomic types of k-tuples over ``size`` elements read a relation
+    # of arity a through ``_fact_reader(size, k, a)``: size**k * k**a bit
+    # indices, counted with a more per combination, which bounds a where
+    # the indices do not (k = 1 at size 1).  The item cap bounds k, and
+    # ``Structure.make`` bounds a at sizes over 1.
     for size in sorted({M.size for M in structures}):
-        entries = 0
-        for k in range(1, n_max + 1):
-            entries += size ** k * (k + sum(max(k ** a, a) for a in arities))
+        for k, (name, arity) in itertools.product(range(1, n_max + 1),
+                                                  sig.relations):
+            entries = (size ** k + arity) * k ** arity
             if entries > MAX_FACT_TABLE_ENTRIES:
                 raise EnumerationOverflowError(
                     f"atomic types of the {k}-tuples of size {size} exceed "
-                    f"cap {MAX_FACT_TABLE_ENTRIES}: reading the tuples of "
-                    f"length up to {k} takes a table of {entries} entries")
+                    f"cap {MAX_FACT_TABLE_ENTRIES}: reading relation {name} "
+                    f"takes a table of {entries} entries")
 
     starts = []
     init: list[int] = []

@@ -374,6 +374,27 @@ class TestErrorPaths:
         assert message in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("relations,size,rows,height", [
+        # 55,987 items; the largest table reads R at the 6-tuples,
+        # (6**6 + 2) * 6**2 = 1,679,688 entries, under the cap
+        ([("R", 2)], 6, {"R": [[i, (i + 1) % 6] for i in range(6)]}, 1),
+        ([("P", 1), ("R", 2)], 6,
+         {"P": [[0]], "R": [[i, (i + 1) % 6] for i in range(6)]}, 2),
+        # 960,800 items, and no relation to read
+        ([], 7, {}, 0),
+    ])
+    def test_largest_readable_structures_are_answered(self, tmp_path,
+                                                      relations, size, rows,
+                                                      height):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({
+            "signature": [{"name": n, "arity": a} for n, a in relations],
+            "size": size, "relations": rows}))
+        r = run_cli("scott", str(path), "--out", str(tmp_path),
+                    max_bytes=1 << 30, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert f"scott height: {height}\n" in r.stdout
+
     def test_oversized_literals_exit_1(self, tmp_path):
         # the rank-2 Scott sentence of one element would read 2**20 atoms
         # over the pairs

@@ -70,6 +70,20 @@ class TestJointPartition:
         with pytest.raises(EnumerationOverflowError):
             scott.joint_type_partition([M] * 3)
 
+    def test_fact_table_cap_counts_each_relation_and_is_inclusive(
+            self, monkeypatch):
+        # at size 3 the largest table reads R at the triples, (27 + 2) * 9 =
+        # 261 entries; P's (84) and the equality patterns are not added
+        M = Structure.make(Signature((("P", 1), ("R", 2))), 3,
+                           {"P": [(0,)], "R": [(0, 1), (1, 2)]})
+        monkeypatch.setattr(scott, "MAX_FACT_TABLE_ENTRIES", 261)
+        assert scott.joint_type_partition([M]).n_max == 3
+        monkeypatch.setattr(scott, "MAX_FACT_TABLE_ENTRIES", 260)
+        with pytest.raises(EnumerationOverflowError,
+                           match="reading relation R takes a table of 261 "
+                                 "entries"):
+            scott.joint_type_partition([M])
+
     def test_levels_of_fuzz_space_are_pinned(self, ub_space):
         # the labels of every level of the 792-class P/1 + R/2 partition,
         # as computed with frozenset signature keys; a change to the keys'
