@@ -34,6 +34,8 @@ class Program:
     run       the root's runner
     nslots    env slots the program reads or binds: one past the deepest
               slot that any of its runners touches
+    rank      the sentence's quantifier rank, as ``model.quantifier_rank``
+              gives it, which the compiler reads off as it builds the nodes
 
     A runner is called as ``run(env, ctx)`` and returns the bits, over
     the run, of the structures where its node holds.  ``env`` is a list of
@@ -54,6 +56,7 @@ class Program:
     ops: list[Callable] = field(default_factory=list)
     run: Optional[Callable] = None
     nslots: int = 0
+    rank: int = 0
 
 
 # Node constructors, one per node kind, each returning the node's runner.

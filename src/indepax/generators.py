@@ -126,6 +126,27 @@ def random_pair_instance(rng: random.Random, space: ModelSpace
     return Theory.of(sentences[:nc]), Theory.of(sentences[nc:])
 
 
+def _element_classes(space: ModelSpace
+                     ) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
+    """Per stabilized class of one-element tuples in ``space_partition``:
+    its first realizing (representative, element), and the bitset of the
+    representatives that realize it.  Cached per space, next to the
+    partition."""
+    found = space._extra.get("element_classes")
+    if found is None:
+        part = space_partition(space)
+        labels = part.levels[part.stabilization_level]
+        realizers: dict[int, tuple[int, int]] = {}
+        rep_sets: dict[int, int] = {}
+        for si in range(len(part.structures)):
+            start, end = part.block(si, 1)
+            for e, lab in enumerate(labels[start:end]):
+                realizers.setdefault(lab, (si, e))
+                rep_sets[lab] = rep_sets.get(lab, 0) | (1 << si)
+        found = space._extra["element_classes"] = (realizers, rep_sets)
+    return found
+
+
 def random_type_instance(rng: random.Random, space: ModelSpace,
                          count: int
                          ) -> Optional[list[tuple[TypeId, list[Sentence]]]]:
@@ -136,15 +157,7 @@ def random_type_instance(rng: random.Random, space: ModelSpace,
     exactly the elements of the class it names."""
     part = space_partition(space)
     level = part.stabilization_level
-    # class -> (first realizing (rep, element), realizing rep set)
-    realizers: dict[int, tuple[int, int]] = {}
-    rep_sets: dict[int, int] = {}
-    labels = part.levels[level]
-    for si in range(len(part.structures)):
-        start, end = part.block(si, 1)
-        for e, lab in enumerate(labels[start:end]):
-            realizers.setdefault(lab, (si, e))
-            rep_sets[lab] = rep_sets.get(lab, 0) | (1 << si)
+    realizers, rep_sets = _element_classes(space)
     labels = sorted(realizers)
     for _ in range(TYPE_ATTEMPTS):
         rng.shuffle(labels)

@@ -497,7 +497,9 @@ def compile_sentence(sentence: Sentence, signature: Signature,
     first in ``Program.ops``; as its quantifiers bind only slots past every
     live one, a runner never overwrites a slot that its callers read, and
     a quantifier-free node's runner binds none, so it serves every
-    quantifier depth.
+    quantifier depth.  Whether a node is quantifier-free is read off its
+    quantifier rank, which each node gets from its children's as it is
+    built; the root's is ``Program.rank``.
 
     The memo rule: every and, or, exists and forall runner memoizes on the
     values of its free variables' slots, under its index in ``ops``, but
@@ -516,20 +518,20 @@ def compile_sentence(sentence: Sentence, signature: Signature,
     rel_index = signature.index
     arities = dict(signature.relations)
     runners: dict[tuple, Callable] = {}
-    quantifier_free: dict[Sentence, bool] = {}  # per node built
+    ranks: dict[Sentence, int] = {}  # quantifier rank, per node built
 
     def rec(node: Sentence, binding: dict[str, int],
             next_slot: int) -> Callable:
         used = tuple(map(binding.__getitem__, node.free))
         # a node not built yet has no runner under either key
-        key = ((node, used) if quantifier_free.get(node)
+        key = ((node, used) if ranks.get(node) == 0
                else (node, next_slot, used))
         run = runners.get(key)
         if run is not None:
             return run
         kind = type(node)
         memo = False
-        qf = True
+        rank = 0
         if kind is Atom:
             if node.rel not in rel_index:
                 raise MalformedSentenceError(f"unknown relation {node.rel!r}")
@@ -543,13 +545,13 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             run = pure.eq(binding[node.left], binding[node.right])
         elif kind is Not:
             run = pure.not_(rec(node.child, binding, next_slot))
-            qf = quantifier_free[node.child]
+            rank = ranks[node.child]
         elif kind is And or kind is Or:
             make = pure.and_ if kind is And else pure.or_
             run = make(tuple([rec(c, binding, next_slot)
                               for c in node.children]))
             memo = not all(map(_is_literal, node.children))
-            qf = all(map(quantifier_free.__getitem__, node.children))
+            rank = max(map(ranks.__getitem__, node.children), default=0)
         else:  # Exists or Forall
             inner = dict(binding)
             inner[node.var] = next_slot
@@ -557,9 +559,9 @@ def compile_sentence(sentence: Sentence, signature: Signature,
             make = pure.exists if kind is Exists else pure.forall
             run = make(rec(node.child, inner, next_slot + 1), next_slot)
             memo = True
-            qf = False
-        quantifier_free[node] = qf
-        if qf:
+            rank = ranks[node.child] + 1
+        ranks[node] = rank
+        if not rank:
             key = (node, used)
         if memo and node is not sentence:
             run = pure.memoize(run, (len(ops), used))
@@ -569,6 +571,7 @@ def compile_sentence(sentence: Sentence, signature: Signature,
 
     prog.run = rec(sentence, {v: i for i, v in enumerate(free_order)},
                    len(free_order))
+    prog.rank = ranks[sentence]
     # rec reaches itself through its closure: unbinding it frees rec now
     # instead of at the next cyclic garbage collection
     del rec
@@ -662,12 +665,13 @@ class ModelSpace:
     an ``And``, ``Or`` or ``Not`` whose parts, reached through its boolean
     nodes, are closed or have their element sets cached is read off those
     sets: true where the body's set is nonempty (``Exists``) or holds every
-    element (``Forall``).  Any other quantifier of quantifier rank 2 or
-    more is compiled once and run by the kernel once per run of
-    consecutive representatives of one size (``runs``), over all of the
-    run's structures at once.  One of rank 1 is evaluated per
-    representative with ``eval``: the benchmark's tracer test and its
-    traced ``fuzz`` run count the ``eval`` calls of that path.
+    element (``Forall``).  Any other quantifier is compiled once, and the
+    program's quantifier rank (``Program.rank``) picks how it runs: at
+    rank 2 or more, by the kernel once per run of consecutive
+    representatives of one size (``runs``), over all of the run's
+    structures at once; at rank 1, per representative with ``eval``: the
+    benchmark's tracer test and its traced ``fuzz`` run count the ``eval``
+    calls of that path.
     """
 
     signature: Signature
@@ -722,9 +726,9 @@ class ModelSpace:
         """Bitset of representatives satisfying a closed sentence.  Each
         nested boolean level costs one stack frame.  A quantifier is read
         off its body's element sets when the class docstring's rule lets
-        it; otherwise it is evaluated once per run at quantifier rank 2 or
-        more, each run's bits ORed in at its first index, and per
-        representative at rank 1."""
+        it; otherwise it is compiled, and evaluated once per run when the
+        program's quantifier rank is 2 or more, each run's bits ORed in at
+        its first index, and per representative at rank 1."""
         if sentence.free:
             raise MalformedSentenceError(
                 f"sentence has free variables {sorted(sentence.free)}")
@@ -754,8 +758,7 @@ class ModelSpace:
             for i, hit in enumerate(hits):
                 if hit:
                     m |= 1 << i
-        elif quantifier_rank(sentence) > 1:
-            prog = compile_sentence(sentence, self.signature)
+        elif (prog := compile_sentence(sentence, self.signature)).rank > 1:
             m = 0
             for start, width, size, masks in self.runs:
                 m |= _kernel.active.eval_program(prog, size, masks, (),

@@ -195,13 +195,15 @@ def _atomic_codes(M: Structure, n_max: int) -> list[bytes]:
     return codes
 
 
-def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
+def joint_type_partition(structures: Sequence[Structure], *,
+                         _length: Optional[int] = None) -> TypePartition:
     """Simultaneous refinement of all tuples of all given structures.
 
     Level 0 groups by atomic type; level a+1 groups two tuples iff they were
     grouped at level a and their one-element extensions realize the same set
-    of level-a classes (extension stops at the length cap).  Halts at the
-    first level equal to its predecessor.
+    of level-a classes (extension stops at the length cap: the largest
+    structure size, or ``_length`` when given).  Halts at the first level
+    equal to its predecessor.
 
     Raises EnumerationOverflowError, before allocating anything, when the
     partition would have more than ``MAX_PARTITION_ITEMS`` items, or the
@@ -215,7 +217,7 @@ def joint_type_partition(structures: Sequence[Structure]) -> TypePartition:
     for s in structures[1:]:
         if s.signature != sig:
             raise SignatureMismatchError("structures over different signatures")
-    n_max = max(s.size for s in structures)
+    n_max = max(s.size for s in structures) if _length is None else _length
     count = 0
     for M, length in itertools.product(structures, range(n_max + 1)):
         if M.size ** length > MAX_PARTITION_ITEMS:
@@ -447,44 +449,61 @@ def alpha_types_of(sentence: Sentence, alpha: int,
             {TypeId(alpha, lab) for lab in phi})
 
 
-def _isolation_levels(part: TypePartition) -> list[int]:
-    """Per structure of the partition, the least level at which its empty
-    tuple's class holds no other structure's empty tuple.  Raises
-    PreconditionError when two empty tuples share the stabilized class:
-    those structures are isomorphic."""
-    found: list[Optional[int]] = [None] * len(part.structures)
-    for level in range(part.stabilization_level + 1):
-        roots = [part.levels[level][start] for start in part.starts]
+def _isolation_levels(structures: Sequence[Structure]) -> list[int]:
+    """Per structure, the least level at which its empty tuple's class in
+    the joint partition of all of them holds no other structure's empty
+    tuple.  Raises PreconditionError when two empty tuples share the
+    stabilized class: those structures are isomorphic.
+
+    A root's level-a class reads only tuples of length <= a (a tuple of
+    length l enters it at level a - l), so it is the root's level-a class
+    in the partition with length cap a.  A root alone in its class at
+    level a stays alone at every later level, which refines it, and a root
+    that shares its class shares it only with roots not isolated yet.  So
+    the level-a partition is taken only of the structures not isolated
+    below a, for a = 0 .. the largest size, whose partition is the full
+    one."""
+    found: list[Optional[int]] = [None] * len(structures)
+    left = list(range(len(structures)))
+    n_max = max((M.size for M in structures), default=0)
+    for a in range(n_max + 1):
+        part = joint_type_partition([structures[i] for i in left],
+                                    _length=a)
+        labels = part.levels[min(a, part.stabilization_level)]
+        roots = [labels[start] for start in part.starts]
         counts = Counter(roots)
-        for si, lab in enumerate(roots):
-            if found[si] is None and counts[lab] == 1:
-                found[si] = level
-    if None in found:
-        raise PreconditionError(
-            "space representatives are not pairwise non-isomorphic")
-    return found
+        for i, lab in zip(left, roots):
+            if counts[lab] == 1:
+                found[i] = a
+        left = [i for i in left if found[i] is None]
+        if not left:
+            return found
+    raise PreconditionError(
+        "space representatives are not pairwise non-isomorphic")
 
 
 def space_scott_sentence(space: ModelSpace, rep_index: int) -> Sentence:
     """The isolating sentence of a class of the space, cached per space: the
     Hintikka formula of its representative's empty tuple at the class's
-    isolation level, with the partition's length cap.  It holds at exactly
-    the representatives whose empty tuple shares that level's class (see
+    isolation level (``_isolation_levels``), with the length cap n_max, the
+    largest representative's size.  It holds at exactly the
+    representatives whose empty tuple shares that level's class (see
     ``type_formula``), which is this class alone, so its satisfaction
     bitset is seeded as ``1 << rep_index``, not evaluated.  The first call
-    for a space computes every class's isolation level, and so certifies
-    that no two representatives are isomorphic, or raises
+    for a space computes every class's isolation level, from partitions of
+    tuples no longer than that level and never from ``space_partition``,
+    and so certifies that no two representatives are isomorphic, or raises
     PreconditionError."""
     found = space._extra.get("isolating")
     if found is None:
+        reps = space.representatives
         found = space._extra["isolating"] = (
-            _isolation_levels(space_partition(space)), {})
-    levels, cache = found
+            _isolation_levels(reps), max(M.size for M in reps), {})
+    levels, n_max, cache = found
     s = cache.get(rep_index)
     if s is None:
         s = type_formula(space.representatives[rep_index], (),
-                         levels[rep_index],
-                         length=space_partition(space).n_max)
+                         levels[rep_index], length=n_max)
         cache[rep_index] = s
         space._satsets[id(s)] = 1 << rep_index
     return s

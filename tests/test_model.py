@@ -1042,6 +1042,10 @@ class TestQuantifierRank:
             for _ in range(40):
                 f = generators.random_formula(rng, depth, ("x",)[:depth % 2])
                 assert model.quantifier_rank(f) == self.reference(f)
+                # the compiler reads the same rank off as it builds
+                prog = model.compile_sentence(f, generators.FUZZ_SIGNATURE,
+                                              tuple(sorted(f.free)))
+                assert prog.rank == model.quantifier_rank(f)
 
     def test_deepest_property_examples(self):
         # the three deepest ``@example``s of test_properties.py: a chain of
@@ -1060,6 +1064,8 @@ class TestQuantifierRank:
             sig = Signature(CASES[case][0])
             s = parse_sentence(nesting_text(spine, leaf, sig))
             assert model.quantifier_rank(s) == self.reference(s)
+            assert (model.compile_sentence(s, sig).rank
+                    == model.quantifier_rank(s))
             ranks.append(model.quantifier_rank(s))
         assert ranks == [1, 200, 200]
 

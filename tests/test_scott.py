@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -96,8 +97,8 @@ class TestJointPartition:
 
     def test_heap_per_item_is_bounded(self, ub_space):
         # levels are flat int arrays, no item is stored and extensions are
-        # found by heap arithmetic, with no per-item table: about 18 B per
-        # item retained and 149 B at the peak of refinement.  gc.collect()
+        # found by heap arithmetic, with no per-item table: about 17 B per
+        # item retained and 119 B at the peak of refinement.  gc.collect()
         # at both ends drops the free lists, which tracemalloc counts as
         # allocated.
         reps = ub_space.representatives
@@ -595,6 +596,53 @@ class TestScottSentence:
                 assert len(hits) == 1
                 assert verify.oracle_isomorphic(
                     M, space.representatives[hits[0]])[0]
+
+
+def reference_isolation_levels(part):
+    """Per structure of a full joint partition, the least level at which
+    its empty tuple's class holds no other structure's empty tuple, read
+    off every level of that partition."""
+    found = [None] * len(part.structures)
+    for level in range(part.stabilization_level + 1):
+        roots = [part.levels[level][start] for start in part.starts]
+        counts = Counter(roots)
+        for si, lab in enumerate(roots):
+            if found[si] is None and counts[lab] == 1:
+                found[si] = level
+    if None in found:
+        raise PreconditionError(
+            "space representatives are not pairwise non-isomorphic")
+    return found
+
+
+class TestIsolationLevels:
+    @pytest.mark.parametrize("relations, max_size", [
+        ((("P", 1), ("R", 2)), 3),
+        ((("R", 2),), 3),
+        ((("R", 2),), 4),
+        ((("Q", 1), ("T", 3)), 2),
+        ((), 4),
+    ])
+    def test_levels_equal_the_full_partitions(self, relations, max_size):
+        reps = model.enumerate_models(Signature(relations),
+                                      max_size).representatives
+        want = reference_isolation_levels(scott.joint_type_partition(reps))
+        assert scott._isolation_levels(reps) == want
+
+    def test_isomorphic_pair_among_isolated_classes_is_refused(self, sig):
+        # the cycles are isolated early and leave the later partitions; the
+        # isomorphic pair never separates
+        M = Structure.make(sig, 3, {"R": [(0, 1), (2, 1)]})
+        reps = (cycle(sig, 2), M, cycle(sig, 3),
+                M.apply_permutation((2, 0, 1)))
+        with pytest.raises(PreconditionError):
+            scott._isolation_levels(reps)
+
+    def test_isolating_sentences_build_no_space_partition(self, sig):
+        space = model.enumerate_models(sig, 3)
+        for i in range(len(space.representatives)):
+            scott.space_scott_sentence(space, i)
+        assert "partition" not in space._extra
 
 
 class TestCanonicalInvariant:
