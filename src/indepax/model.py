@@ -9,11 +9,12 @@ here is a pure function of its inputs plus the (idempotent) caches.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -600,22 +601,6 @@ def eval(M: Structure, sentence: Sentence,
         env0))
 
 
-def _decide_open(M: Structure, m: int, parts: Sequence[Sentence], var: str,
-                 conj: bool) -> int:
-    """``m``, the elements of ``M`` where a conjunction (``conj``) or a
-    disjunction holds so far, with its open elements (those in ``m`` for a
-    conjunction, those outside it for a disjunction) decided by ``parts``,
-    each evaluated in order until one decides the element."""
-    for e in range(M.size):
-        bit = 1 << e
-        if bool(m & bit) == conj:
-            for f in parts:
-                if eval(M, f, {var: e}) != conj:
-                    m ^= bit
-                    break
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Theories
 # ---------------------------------------------------------------------------
@@ -661,13 +646,15 @@ class ModelSpace:
     ``scott.space_scott_sentence`` seeds the satsets of the isolating
     sentences of the space's classes by index.
     Per-element sets of one-variable formulas (``elem_satset``) follow the
-    same rule, per representative within its elements.  A quantifier over
-    an ``And``, ``Or`` or ``Not`` whose parts, reached through its boolean
-    nodes, are closed or have their element sets cached is read off those
-    sets: true where the body's set is nonempty (``Exists``) or holds every
-    element (``Forall``).  Any other quantifier is compiled once, and the
-    program's quantifier rank (``Program.rank``) picks how it runs: at
-    rank 2 or more, by the kernel once per run of consecutive
+    same rule over one int for the whole space: bit ``offsets[i] + e`` says
+    whether element e of representative i satisfies the formula, the
+    representatives in space order, each in a block of ``size`` bits.  A
+    quantifier over an ``And``, ``Or`` or ``Not`` whose parts, reached
+    through its boolean nodes, are closed or have their element sets
+    cached is read off those sets: true where the body's block is nonempty
+    (``Exists``) or full (``Forall``).  Any other quantifier is compiled
+    once, and the program's quantifier rank (``Program.rank``) picks how it
+    runs: at rank 2 or more, by the kernel once per run of consecutive
     representatives of one size (``runs``), over all of the run's
     structures at once; at rank 1, per representative with ``eval``: the
     benchmark's tracer test and its traced ``fuzz`` run count the ``eval``
@@ -679,11 +666,9 @@ class ModelSpace:
     representatives: tuple[Structure, ...]
     _satsets: dict = field(init=False, default_factory=dict, repr=False)
     _elemsets: dict = field(init=False, default_factory=dict, repr=False)
-    # one stored tuple per distinct element-set value: the type formulas
-    # of criterion 8 share most values (two thirds of the sets stored on
-    # the benchmark's `types` workload equal an earlier one)
-    _elemset_values: dict = field(init=False, default_factory=dict,
-                                  repr=False)
+    # per (id, var) of a quantified formula evaluated at open elements
+    # only: the element bits decided so far and, among them, those it holds
+    _decided: dict = field(init=False, default_factory=dict, repr=False)
     _extra: dict = field(init=False, default_factory=dict, repr=False)
 
     @cached_property
@@ -691,22 +676,40 @@ class ModelSpace:
         return (1 << len(self.representatives)) - 1
 
     @cached_property
-    def elem_full(self) -> tuple[int, ...]:
-        """Per representative, the bitset of all its elements."""
-        return tuple((1 << rep.size) - 1 for rep in self.representatives)
+    def offsets(self) -> tuple[int, ...]:
+        """Per representative, the first bit of its block in an element
+        set, then the number of bits of the whole set."""
+        return tuple(itertools.accumulate(
+            (rep.size for rep in self.representatives), initial=0))
 
     @cached_property
-    def runs(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    def elem_full(self) -> int:
+        """The element set of every element of every representative."""
+        return (1 << self.offsets[-1]) - 1
+
+    @cached_property
+    def size_runs(self) -> tuple[tuple[int, int, int], ...]:
         """The maximal blocks of consecutive representatives of one size,
-        each as (first index, width, size, masks).  The masks are
-        cell-major: bit ``cell * width + j`` of relation r's says whether
-        the block's j-th representative holds the tuple of fold-left index
-        ``cell``, the layout ``eval_program`` reads."""
+        each as (first index, width, size)."""
         out = []
         start = 0
         for size, block in itertools.groupby(self.representatives,
                                              key=attrgetter("size")):
-            block = list(block)
+            width = sum(1 for _rep in block)
+            out.append((start, width, size))
+            start += width
+        return tuple(out)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """``size_runs``, each with its masks: (first index, width, size,
+        masks).  The masks are cell-major: bit ``cell * width + j`` of
+        relation r's says whether the block's j-th representative holds the
+        tuple of fold-left index ``cell``, the layout ``eval_program``
+        reads."""
+        out = []
+        for start, width, size in self.size_runs:
+            block = self.representatives[start:start + width]
             masks = []
             for r, (_name, arity) in enumerate(self.signature.relations):
                 # per representative its cells' bits, low cell first; then
@@ -714,8 +717,7 @@ class ModelSpace:
                 rows = [format(rep.masks[r], f"0{size ** arity}b")[::-1]
                         for rep in block]
                 masks.append(int("".join(map("".join, zip(*rows)))[::-1], 2))
-            out.append((start, len(block), size, tuple(masks)))
-            start += len(block)
+            out.append((start, width, size, tuple(masks)))
         return tuple(out)
 
     @cached_property
@@ -725,10 +727,11 @@ class ModelSpace:
     def satset(self, sentence: Sentence) -> int:
         """Bitset of representatives satisfying a closed sentence.  Each
         nested boolean level costs one stack frame.  A quantifier is read
-        off its body's element sets when the class docstring's rule lets
-        it; otherwise it is compiled, and evaluated once per run when the
-        program's quantifier rank is 2 or more, each run's bits ORed in at
-        its first index, and per representative at rank 1."""
+        off its body's element set when the class docstring's rule lets
+        it, run by run (``_read_off``); otherwise it is compiled, and
+        evaluated once per run when the program's quantifier rank is 2 or
+        more, each run's bits ORed in at its first index, and per
+        representative at rank 1."""
         if sentence.free:
             raise MalformedSentenceError(
                 f"sentence has free variables {sorted(sentence.free)}")
@@ -751,13 +754,9 @@ class ModelSpace:
             m = self.full_mask & ~self.satset(sentence.child)
         elif (isinstance(sentence, (Exists, Forall))
               and self._reads_cached_sets(sentence.child, sentence.var)):
-            elems = self.elem_satset(sentence.child, sentence.var)
-            hits = (map(bool, elems) if isinstance(sentence, Exists)
-                    else map(int.__eq__, elems, self.elem_full))
-            m = 0
-            for i, hit in enumerate(hits):
-                if hit:
-                    m |= 1 << i
+            m = self._read_off(
+                self.elem_satset(sentence.child, sentence.var),
+                isinstance(sentence, Forall))
         elif (prog := compile_sentence(sentence, self.signature)).rank > 1:
             m = 0
             for start, width, size, masks in self.runs:
@@ -803,18 +802,19 @@ class ModelSpace:
                 break
         return m
 
-    def elem_satset(self, formula: Sentence, var: str) -> tuple[int, ...]:
-        """Per-representative bitsets of the elements satisfying a formula
+    def elem_satset(self, formula: Sentence, var: str) -> int:
+        """The element set (the class docstring's bit layout) of a formula
         whose one free variable, if any, is ``var``.  Boolean structure is
-        bitset algebra, as in ``satset``, one stack frame per level: ``Not``
-        is the complement within each representative's elements, ``And``
-        and ``Or`` the per-representative ``&`` and ``|`` of the children's
-        sets, and a closed part is all or none of a representative's
-        elements, as ``satset`` reads it.  Any other formula (a literal or a
-        quantifier) is evaluated per element with ``eval``; as a child of an
-        ``And`` or ``Or``, a quantifier whose sets are not cached is
-        evaluated only at the elements that the other children leave open,
-        as the kernel's short-circuits would, and its sets are not kept."""
+        bitset algebra, one int operation and one stack frame per level:
+        ``Not`` is the complement within ``elem_full``, ``And`` and ``Or``
+        the ``&`` and ``|`` of the children's sets, and a closed part is
+        its model set lifted to whole blocks (``_lift``).  Any other
+        formula (a literal or a quantifier) is evaluated per element with
+        ``eval``; as a child of an ``And`` or ``Or``, a quantifier whose
+        set is not cached is evaluated only at the elements that the other
+        children leave open, as the kernel's short-circuits would, and its
+        set is not kept: only its verdicts at those elements, so that no
+        element is evaluated twice (``_decide_open``)."""
         if formula.free - {var}:
             raise MalformedSentenceError(
                 f"extra free variables {sorted(formula.free - {var})}")
@@ -824,35 +824,93 @@ class ModelSpace:
             return cached
         kind = type(formula)
         if not formula.free:
-            m = self.satset(formula)
-            res = tuple(full if (m >> i) & 1 else 0
-                        for i, full in enumerate(self.elem_full))
+            res = self._lift(self.satset(formula))
         elif kind is Not:
-            res = tuple(map(int.__and__, self.elem_full, map(
-                int.__invert__, self.elem_satset(formula.child, var))))
+            res = self.elem_full & ~self.elem_satset(formula.child, var)
         elif kind is And or kind is Or:
             # the children's sets first, then the uncached quantified
             # children at the elements still open
             conj = kind is And
-            op = int.__and__ if conj else int.__or__
-            res = self.elem_full if conj else (0,) * len(self.representatives)
+            res = self.elem_full if conj else 0
             rest = []
             for c in formula.children:
                 if (isinstance(c, (Exists, Forall)) and c.free
                         and (id(c), var) not in self._elemsets):
                     rest.append(c)
+                elif conj:
+                    res &= self.elem_satset(c, var)
                 else:
-                    res = tuple(map(op, res, self.elem_satset(c, var)))
+                    res |= self.elem_satset(c, var)
             if rest:
-                res = tuple(_decide_open(rep, m, rest, var, conj)
-                            for rep, m in zip(self.representatives, res))
+                res = self._decide_open(res, rest, var, conj)
         else:
-            # the elements where the disjunction of the formula alone holds
-            res = tuple(_decide_open(rep, 0, (formula,), var, False)
-                        for rep in self.representatives)
-        res = self._elemset_values.setdefault(res, res)
+            # the elements where the disjunction of the formula alone
+            # holds; from now on its set is cached, so its verdicts go
+            res = self._decide_open(0, (formula,), var, False)
+            self._decided.pop(key, None)
         self._elemsets[key] = res
         return res
+
+    def _lift(self, mask: int) -> int:
+        """The element set of the representatives in ``mask``: per run,
+        its bits, low first, each repeated ``size`` times by
+        ``str.translate``."""
+        bits = format(mask, f"0{len(self.representatives)}b")[::-1]
+        return int("".join(
+            bits[start:start + width].translate(
+                str.maketrans({"0": "0" * size, "1": "1" * size}))
+            for start, width, size in self.size_runs)[::-1] or "0", 2)
+
+    def _read_off(self, elems: int, every: bool) -> int:
+        """Bitset of the representatives with some (or, if ``every``, all)
+        of their elements in ``elems``: per run, the OR (AND) of its
+        ``size`` strided slices, slice k holding element k of each of the
+        run's representatives."""
+        bits = format(elems, f"0{self.offsets[-1]}b")[::-1]
+        op = int.__and__ if every else int.__or__
+        out = []
+        for start, width, size in self.size_runs:
+            first = self.offsets[start]
+            run = bits[first:first + width * size]
+            hits = reduce(op, (int(run[k::size][::-1], 2)
+                               for k in range(size)))
+            out.append(format(hits, f"0{width}b")[::-1])
+        return int("".join(out)[::-1] or "0", 2)
+
+    def _decide_open(self, m: int, parts: Sequence[Sentence], var: str,
+                     conj: bool) -> int:
+        """``m``, the elements where a conjunction (``conj``) or a
+        disjunction holds so far, with its open elements (those in ``m``
+        for a conjunction, those outside it for a disjunction) decided by
+        ``parts``: each part in turn is evaluated with ``eval`` at the
+        elements still open but those where ``_decided`` holds its verdict
+        already.  The elements are found by ``str.find`` in the bit
+        string, and their representatives by bisection of ``offsets``."""
+        full = self.elem_full
+        open_ = m if conj else full & ~m
+        reps, offsets = self.representatives, self.offsets
+        for f in parts:
+            if not open_:
+                break
+            key = (id(f), var)
+            done, held = self._decided.get(key, (0, 0))
+            todo = open_ & ~done
+            if todo:
+                bits = format(todo, f"0{offsets[-1]}b")[::-1]
+                hits = ["0"] * len(bits)
+                b = bits.find("1")
+                while b >= 0:
+                    # bit b's representative, then its open elements
+                    i = bisect.bisect_right(offsets, b) - 1
+                    rep, o = reps[i], offsets[i]
+                    while o <= b < o + rep.size:
+                        if eval(rep, f, {var: b - o}):
+                            hits[b] = "1"
+                        b = bits.find("1", b + 1)
+                held |= int("".join(hits)[::-1], 2)
+                self._decided[key] = (done | todo, held)
+            open_ &= held if conj else ~held
+        return open_ if conj else full & ~open_
 
     def mask_members(self, mask: int) -> list[Structure]:
         return [r for i, r in enumerate(self.representatives) if (mask >> i) & 1]

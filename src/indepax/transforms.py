@@ -8,7 +8,9 @@ not an input error, and raises VerificationInternalError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (DuplicateTypeError, MalformedSentenceError,
@@ -290,27 +292,14 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
             f"type formulas must share one free variable, got {sorted(free)}")
     var = next(iter(free))
 
-    def elems(f: Sentence) -> tuple[int, ...]:
-        return space.elem_satset(f, var)
-
+    # each distinct formula's element set, read once
+    sets = {f: space.elem_satset(f, var)
+            for f in dict.fromkeys(f for _t, fs in entries for f in fs)}
     for k, (_tid, fs) in enumerate(entries):
-        realized = False
-        for ri in range(len(space.representatives)):
-            mask = (1 << space.representatives[ri].size) - 1
-            for f in fs:
-                mask &= elems(f)[ri]
-                if not mask:
-                    break
-            if mask:
-                realized = True
-                break
-        if not realized:
+        if not reduce(operator.and_, map(sets.__getitem__, fs),
+                      space.elem_full):
             raise SeparationFailureError(f"type {k} is realized in no model "
                                          f"of the space")
-
-    def incompatible(f: Sentence, g: Sentence) -> bool:
-        ef, eg = elems(f), elems(g)
-        return all((a & b) == 0 for a, b in zip(ef, eg))
 
     nodes: dict[str, tuple[Sentence, ...]] = {"": ()}
     leaves: dict[str, TypeId] = {}
@@ -330,7 +319,7 @@ def build_separating_tree(types: Sequence[tuple[TypeId, Iterable[Sentence]]],
             common = [g for g in entries[rest[0]][1]
                       if all(g in entries[k][1] for k in rest[1:])]
             for g in common:
-                if incompatible(f, g):
+                if not sets[f] & sets[g]:  # jointly unsatisfiable
                     nodes[u + "0"] = acc + (f,)
                     nodes[u + "1"] = acc + (g,)
                     split(u + "0", left, acc + (f,))
@@ -348,14 +337,11 @@ def phi_star(tree: SeparatingTree) -> Sentence:
     """One element realizes a full branch: existentially quantify the
     conjunction, over all depths, of the disjunction of the level's label
     conjunctions (leaves persist below their depth)."""
-    depth = tree.depth
-    level_clauses = []
-    for n in range(depth + 1):
-        disjuncts = []
-        for u in sorted(tree.nodes):
-            if len(u) == n or (u in tree.leaves and len(u) < n):
-                disjuncts.append(And(tree.nodes[u]))
-        level_clauses.append(Or(disjuncts))
+    labels = [(len(u), u in tree.leaves, And(tree.nodes[u]))
+              for u in sorted(tree.nodes)]
+    level_clauses = [Or([c for n_u, leaf, c in labels
+                         if n_u == n or (leaf and n_u < n)])
+                     for n in range(tree.depth + 1)]
     return Exists(tree.var, And(level_clauses))
 
 

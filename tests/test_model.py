@@ -15,7 +15,7 @@ from indepax.model import (And, Atom, Eq, Exists, Forall, Not, Or, Signature,
                            Structure, Theory, enumerate_models, entails,
                            infer_signature, models_of, parse_sentence,
                            preprocess, to_sexpr)
-from test_properties import reference_holds
+from test_properties import elem_blocks, reference_holds
 
 
 # the message and the position of the error in each malformed text
@@ -413,8 +413,8 @@ class TestSpaceQueries:
         assert opened and closed
         for f in opened + closed:
             # the negation goes first, while f's own sets are uncached
-            neg = space.elem_satset(Not(f), "x")
-            pos = space.elem_satset(f, "x")
+            neg = elem_blocks(space, space.elem_satset(Not(f), "x"))
+            pos = elem_blocks(space, space.elem_satset(f, "x"))
             for rep, n, p in zip(space.representatives, neg, pos):
                 full = (1 << rep.size) - 1
                 assert 0 <= n <= full and 0 <= p <= full
@@ -475,12 +475,12 @@ class TestElementSetAlgebra:
         space = enumerate_models(ub_sig, 2)
         for f in self.bodies(5):
             for rep, m in zip(space.representatives,
-                              space.elem_satset(f, "x")):
+                              elem_blocks(space, space.elem_satset(f, "x"))):
                 assert m == self.per_element(rep, f), to_sexpr(f)
         # a closed part holds at all or none of a structure's elements
         for _a, _b, c in self.parts(5):
             for rep, m in zip(space.representatives,
-                              space.elem_satset(c, "x")):
+                              elem_blocks(space, space.elem_satset(c, "x"))):
                 full = (1 << rep.size) - 1
                 assert m == (full if reference_holds(rep, c) else 0)
 
@@ -495,13 +495,43 @@ class TestElementSetAlgebra:
             # with P for the conjunction, those without it for the
             # disjunction
             open_ = sum(bin(m if conj else full & ~m).count("1")
-                        for m, full in zip(space.elem_satset(p, "x"),
-                                           space.elem_full))
+                        for m, full in zip(
+                            elem_blocks(space, space.elem_satset(p, "x")),
+                            elem_blocks(space, space.elem_full)))
             assert 0 < open_ < sum(rep.size for rep in space.representatives)
             assert evals.count(q) - before == open_
             assert (id(q), "x") not in space._elemsets
-            for rep, m in zip(space.representatives, got):
+            for rep, m in zip(space.representatives,
+                              elem_blocks(space, got)):
                 assert m == self.per_element(rep, f)
+
+    def test_quantified_part_is_evaluated_once_per_element(self, ub_sig,
+                                                           monkeypatch):
+        space = enumerate_models(ub_sig, 2)
+        p, r = Atom("P", ("x",)), Atom("R", ("x", "x"))
+        q = Exists("y", Atom("R", ("x", "y")))
+        seen = []
+        real = model.eval
+
+        def counting(M, sentence, assignment=None):
+            if sentence is q:
+                seen.append((id(M), assignment["x"]))
+            return real(M, sentence, assignment)
+        monkeypatch.setattr(model, "eval", counting)
+        # q is open in each, at elements that overlap; then asked alone
+        for f in (And([q, p]), And([r, q]), Or([q, p]), Or([Not(r), q])):
+            got = space.elem_satset(f, "x")
+            assert (id(q), "x") not in space._elemsets
+            for rep, m in zip(space.representatives,
+                              elem_blocks(space, got)):
+                assert m == self.per_element(rep, f)
+        assert 0 < len(seen) == len(set(seen))
+        got = space.elem_satset(q, "x")
+        assert (id(q), "x") not in space._decided
+        assert len(seen) == len(set(seen)) == sum(
+            rep.size for rep in space.representatives)
+        for rep, m in zip(space.representatives, elem_blocks(space, got)):
+            assert m == self.per_element(rep, q)
 
     def test_quantifier_over_cached_parts_reads_element_sets(self, ub_sig,
                                                             evals):
@@ -515,9 +545,10 @@ class TestElementSetAlgebra:
         bodies = self.bodies(7) + [fails_once, no_var]
         for body in bodies:
             space.elem_satset(body, "x")
-        one_fails = [i for i, (rep, m) in enumerate(
-            zip(reps, space.elem_satset(fails_once, "x")))
-            if rep.size > 1 and bin(space.elem_full[i] & ~m).count("1") == 1]
+        one_fails = [i for i, (rep, m, full) in enumerate(zip(
+            reps, elem_blocks(space, space.elem_satset(fails_once, "x")),
+            elem_blocks(space, space.elem_full)))
+            if rep.size > 1 and bin(full & ~m).count("1") == 1]
         assert one_fails
         for body in bodies:
             for quantifier in (Exists, Forall):
@@ -585,7 +616,7 @@ class TestElementSetAlgebra:
         with pytest.raises(ParseError, match="too deeply nested"):
             parse_sentence(f"(not {text})")
         space = enumerate_models(ub_sig, 2)
-        elems = space.elem_satset(chain, "x")
+        elems = elem_blocks(space, space.elem_satset(chain, "x"))
         for rep, m in zip(space.representatives, elems):
             assert m == self.per_element(rep, chain)
         before = len(evals)
@@ -593,6 +624,75 @@ class TestElementSetAlgebra:
         assert len(evals) == before
         assert got == sum(bool(m) << i for i, m in enumerate(elems))
         assert got == self.per_structure(space, Exists("x", chain))
+
+
+class TestElementSetLayout:
+    """The element-set bit layout on spaces whose runs are awkward: a
+    strided space with runs of widths 1, 3 and 62, and a hand-built one
+    whose sizes are out of order, so that one size forms several runs."""
+
+    @pytest.fixture
+    def spaces(self, ub_space):
+        strided = model.ModelSpace(ub_space.signature, ub_space.max_size,
+                                   ub_space.representatives[::12])
+        assert [w for _s, w, _z in strided.size_runs] == [1, 3, 62]
+        by_size = {}
+        for rep in ub_space.representatives:
+            by_size.setdefault(rep.size, []).append(rep)
+        picks = (by_size[2][5], by_size[2][3], by_size[1][0], by_size[2][9],
+                 by_size[3][40], by_size[3][7], by_size[1][1], by_size[1][2])
+        mixed = model.ModelSpace(ub_space.signature, ub_space.max_size,
+                                 picks)
+        assert mixed.size_runs == ((0, 2, 2), (2, 1, 1), (3, 1, 2),
+                                   (4, 2, 3), (6, 2, 1))
+        return strided, mixed
+
+    def test_open_formulas_match_per_element_eval(self, spaces):
+        import random
+        from indepax import generators
+        rng = random.Random(13)
+        opened = [f for f in (generators.random_formula(rng, 3, ("x",))
+                              for _ in range(60)) if f.free == {"x"}][:12]
+        opened += TestElementSetAlgebra.bodies(13)
+        for space in spaces:
+            assert space.elem_full == (1 << sum(
+                rep.size for rep in space.representatives)) - 1
+            for f in opened:
+                got = elem_blocks(space, space.elem_satset(f, "x"))
+                assert got == tuple(
+                    TestElementSetAlgebra.per_element(rep, f)
+                    for rep in space.representatives), to_sexpr(f)
+
+    def test_closed_parts_lift_to_whole_blocks(self, spaces):
+        for space in spaces:
+            for _a, _b, c in TestElementSetAlgebra.parts(17):
+                got = elem_blocks(space, space.elem_satset(c, "x"))
+                assert got == tuple(
+                    (1 << rep.size) - 1 if model.eval(rep, c) else 0
+                    for rep in space.representatives), to_sexpr(c)
+
+    def test_read_offs_match_per_structure_eval(self, spaces,
+                                                 monkeypatch):
+        calls = []
+        real = model.eval
+
+        def counting(M, sentence, assignment=None):
+            calls.append(sentence)
+            return real(M, sentence, assignment)
+        for space in spaces:
+            bodies = TestElementSetAlgebra.bodies(19)
+            for body in bodies:
+                space.elem_satset(body, "x")
+            for body in bodies:
+                for quantifier in (Exists, Forall):
+                    s = quantifier("x", body)
+                    monkeypatch.setattr(model, "eval", counting)
+                    got = space.satset(s)
+                    monkeypatch.undo()
+                    # read off the element sets: no evaluation
+                    assert not calls, to_sexpr(s)
+                    assert got == TestElementSetAlgebra.per_structure(
+                        space, s), to_sexpr(s)
 
 
 class TestConcurrency:

@@ -77,6 +77,19 @@ def structures(case: str):
     return space.signature, space.representatives[::stride]
 
 
+def elem_blocks(space: model.ModelSpace, elems: int) -> tuple[int, ...]:
+    """Per representative, its block of the element set ``elems`` as a
+    bitset of its elements: representatives in space order, each ``size``
+    bits wide, counted here from the sizes alone."""
+    out = []
+    offset = 0
+    for rep in space.representatives:
+        out.append((elems >> offset) & ((1 << rep.size) - 1))
+        offset += rep.size
+    assert 0 <= elems < 1 << offset
+    return tuple(out)
+
+
 def reference_holds(M: model.Structure, sentence: model.Sentence) -> bool:
     """Tarskian truth by recursion over the AST, one stack frame per level,
     memoized on (node, values of its free variables)."""

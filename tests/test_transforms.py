@@ -15,6 +15,7 @@ from indepax.transforms import (build_separating_tree, check_partition,
                                 independent_axiomatize, partition_transform,
                                 phi_star, reznikoff_pairing,
                                 scott_filter_transform)
+from test_properties import elem_blocks
 
 
 def sentence_size_at_most(k):
@@ -225,7 +226,8 @@ class TestSeparatingTree:
                         if part.class_at(tid.level, si, (e,))
                         == tid.class_index)
                     for si, M in enumerate(space.representatives))
-                assert space.elem_satset(formulas[0], "x0") == want
+                assert elem_blocks(
+                    space, space.elem_satset(formulas[0], "x0")) == want
 
     def test_single_type(self, ub_space):
         types = generators.random_type_instance(random.Random(1), ub_space, 1)
@@ -252,8 +254,8 @@ class TestSeparatingTree:
         # labels grow along branches and siblings are incompatible
         assert set(tree.nodes[""]) <= set(tree.nodes["0"])
         f0, f1 = tree.nodes["0"][0], tree.nodes["1"][0]
-        e0 = ub_space.elem_satset(f0, tree.var)
-        e1 = ub_space.elem_satset(f1, tree.var)
+        e0 = elem_blocks(ub_space, ub_space.elem_satset(f0, tree.var))
+        e1 = elem_blocks(ub_space, ub_space.elem_satset(f1, tree.var))
         assert all(a & b == 0 for a, b in zip(e0, e1))
 
     def test_branch_union_equals_type(self, ub_space):
@@ -291,6 +293,50 @@ class TestSeparatingTree:
                 assert label[:-1] == parent and label[-1] not in parent
                 inner += 1
         assert inner
+
+    def test_each_formula_set_is_read_once(self, ub_sig, monkeypatch):
+        space = model.enumerate_models(ub_sig, 2)
+        real = space.elem_satset
+        calls = []
+        depth = [0]
+
+        def counting(f, var):
+            # the search's own calls, not elem_satset's recursion
+            if not depth[0]:
+                calls.append(f)
+            depth[0] += 1
+            try:
+                return real(f, var)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(space, "elem_satset", counting)
+        rng = random.Random(9)
+        for count in range(2, 7):
+            types = generators.random_type_instance(rng, space, count)
+            calls.clear()
+            build_separating_tree(types, space)
+            distinct = {f for _tid, fs in types for f in fs}
+            assert set(calls) == distinct
+            assert len(calls) == len(distinct)
+
+    def test_phi_star_is_the_per_depth_construction(self, ub_space):
+        # the criterion-8 instances: phi* is the very node that building
+        # each label's conjunction again at every depth interns
+        rng = random.Random(8000)
+        instances = 0
+        while instances < 20:
+            types = generators.random_type_instance(rng, ub_space,
+                                                    rng.randint(2, 6))
+            if types is None:
+                continue
+            tree = build_separating_tree(types, ub_space)
+            levels = []
+            for n in range(tree.depth + 1):
+                levels.append(model.Or([
+                    And(tree.nodes[u]) for u in sorted(tree.nodes)
+                    if len(u) == n or (u in tree.leaves and len(u) < n)]))
+            assert phi_star(tree) is model.Exists(tree.var, And(levels))
+            instances += 1
 
     def test_trees_repeat_across_hash_seeds(self):
         # the same seeded instances over the 792-class space of ub_space,
