@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
     part = scott.space_partition(space)
     rows = []
     for alpha in range(part.stabilization_level + 1):
-        psi, phi = scott.alpha_types_of(sentence, alpha, space)
+        psi, phi = scott._alpha_labels(sentence, alpha, space)
         rows.append({"alpha": alpha, "psi": len(psi), "phi": len(phi)})
         print(f"alpha={alpha}: {len(psi)} tuple types, {len(phi)} model types")
     print(f"stabilizes at level {part.stabilization_level} over "

@@ -9,7 +9,6 @@ here is a pure function of its inputs plus the (idempotent) caches.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import re
@@ -649,12 +648,16 @@ class ModelSpace:
     same rule over one int for the whole space: bit ``offsets[i] + e`` says
     whether element e of representative i satisfies the formula, the
     representatives in space order, each in a block of ``size`` bits.  A
-    quantifier over an ``And``, ``Or`` or ``Not`` whose parts, reached
-    through its boolean nodes, are closed or have their element sets
-    cached is read off those sets: true where the body's block is nonempty
-    (``Exists``) or full (``Forall``).  Any other quantifier is compiled
-    once, and the program's quantifier rank (``Program.rank``) picks how it
-    runs: at rank 2 or more, by the kernel once per run of consecutive
+    quantified formula in that variable is evaluated run by run: one kernel
+    call per run and element value gives one bit per structure of the run,
+    and the run's columns are interleaved into its blocks.  A literal is
+    evaluated per element with ``eval``.  A closed quantifier over an
+    ``And``, ``Or`` or ``Not`` whose parts, reached through its boolean
+    nodes, are closed or have their element sets cached is read off those
+    sets: true where the body's block is nonempty (``Exists``) or full
+    (``Forall``).  Any other closed quantifier is compiled once, and the
+    program's quantifier rank (``Program.rank``) picks how it runs: at
+    rank 2 or more, by the kernel once per run of consecutive
     representatives of one size (``runs``), over all of the run's
     structures at once; at rank 1, per representative with ``eval``: the
     benchmark's tracer test and its traced ``fuzz`` run count the ``eval``
@@ -666,9 +669,6 @@ class ModelSpace:
     representatives: tuple[Structure, ...]
     _satsets: dict = field(init=False, default_factory=dict, repr=False)
     _elemsets: dict = field(init=False, default_factory=dict, repr=False)
-    # per (id, var) of a quantified formula evaluated at open elements
-    # only: the element bits decided so far and, among them, those it holds
-    _decided: dict = field(init=False, default_factory=dict, repr=False)
     _extra: dict = field(init=False, default_factory=dict, repr=False)
 
     @cached_property
@@ -807,47 +807,51 @@ class ModelSpace:
         whose one free variable, if any, is ``var``.  Boolean structure is
         bitset algebra, one int operation and one stack frame per level:
         ``Not`` is the complement within ``elem_full``, ``And`` and ``Or``
-        the ``&`` and ``|`` of the children's sets, and a closed part is
-        its model set lifted to whole blocks (``_lift``).  Any other
-        formula (a literal or a quantifier) is evaluated per element with
-        ``eval``; as a child of an ``And`` or ``Or``, a quantifier whose
-        set is not cached is evaluated only at the elements that the other
-        children leave open, as the kernel's short-circuits would, and its
-        set is not kept: only its verdicts at those elements, so that no
-        element is evaluated twice (``_decide_open``)."""
-        if formula.free - {var}:
-            raise MalformedSentenceError(
-                f"extra free variables {sorted(formula.free - {var})}")
+        the ``&`` and ``|`` of the children's sets, stopping once the set
+        is empty (full), and a closed part is its model set lifted to whole
+        blocks (``_lift``).  A literal is evaluated per element with
+        ``eval``.  A quantified formula is compiled once, with ``var`` its
+        one free slot, and evaluated run by run: one kernel call per run
+        and element value e gives the run's structures where it holds at
+        e, and the run's ``size`` columns are interleaved into its block
+        (``_interleave``)."""
         key = (id(formula), var)
         cached = self._elemsets.get(key)
         if cached is not None:
             return cached
+        # after the lookup: no formula with other free variables is cached
+        if formula.free - {var}:
+            raise MalformedSentenceError(
+                f"extra free variables {sorted(formula.free - {var})}")
         kind = type(formula)
         if not formula.free:
             res = self._lift(self.satset(formula))
         elif kind is Not:
             res = self.elem_full & ~self.elem_satset(formula.child, var)
-        elif kind is And or kind is Or:
-            # the children's sets first, then the uncached quantified
-            # children at the elements still open
-            conj = kind is And
-            res = self.elem_full if conj else 0
-            rest = []
+        elif kind is And:
+            res = self.elem_full
             for c in formula.children:
-                if (isinstance(c, (Exists, Forall)) and c.free
-                        and (id(c), var) not in self._elemsets):
-                    rest.append(c)
-                elif conj:
-                    res &= self.elem_satset(c, var)
-                else:
-                    res |= self.elem_satset(c, var)
-            if rest:
-                res = self._decide_open(res, rest, var, conj)
-        else:
-            # the elements where the disjunction of the formula alone
-            # holds; from now on its set is cached, so its verdicts go
-            res = self._decide_open(0, (formula,), var, False)
-            self._decided.pop(key, None)
+                res &= self.elem_satset(c, var)
+                if not res:
+                    break
+        elif kind is Or:
+            res = 0
+            for c in formula.children:
+                res |= self.elem_satset(c, var)
+                if res == self.elem_full:
+                    break
+        elif kind is Atom or kind is Eq:
+            res = int("".join(
+                "1" if eval(rep, formula, {var: e}) else "0"
+                for rep in self.representatives
+                for e in range(rep.size))[::-1] or "0", 2)
+        else:  # Exists or Forall
+            prog = compile_sentence(formula, self.signature, (var,))
+            eval_program = _kernel.active.eval_program
+            res = self._interleave([
+                [eval_program(prog, size, masks, (e,), width)
+                 for e in range(size)]
+                for _start, width, size, masks in self.runs])
         self._elemsets[key] = res
         return res
 
@@ -877,40 +881,16 @@ class ModelSpace:
             out.append(format(hits, f"0{width}b")[::-1])
         return int("".join(out)[::-1] or "0", 2)
 
-    def _decide_open(self, m: int, parts: Sequence[Sentence], var: str,
-                     conj: bool) -> int:
-        """``m``, the elements where a conjunction (``conj``) or a
-        disjunction holds so far, with its open elements (those in ``m``
-        for a conjunction, those outside it for a disjunction) decided by
-        ``parts``: each part in turn is evaluated with ``eval`` at the
-        elements still open but those where ``_decided`` holds its verdict
-        already.  The elements are found by ``str.find`` in the bit
-        string, and their representatives by bisection of ``offsets``."""
-        full = self.elem_full
-        open_ = m if conj else full & ~m
-        reps, offsets = self.representatives, self.offsets
-        for f in parts:
-            if not open_:
-                break
-            key = (id(f), var)
-            done, held = self._decided.get(key, (0, 0))
-            todo = open_ & ~done
-            if todo:
-                bits = format(todo, f"0{offsets[-1]}b")[::-1]
-                hits = ["0"] * len(bits)
-                b = bits.find("1")
-                while b >= 0:
-                    # bit b's representative, then its open elements
-                    i = bisect.bisect_right(offsets, b) - 1
-                    rep, o = reps[i], offsets[i]
-                    while o <= b < o + rep.size:
-                        if eval(rep, f, {var: b - o}):
-                            hits[b] = "1"
-                        b = bits.find("1", b + 1)
-                held |= int("".join(hits)[::-1], 2)
-                self._decided[key] = (done | todo, held)
-            open_ &= held if conj else ~held
-        return open_ if conj else full & ~open_
+    def _interleave(self, columns: list[list[int]]) -> int:
+        """The element set whose block of each run (``size_runs`` order)
+        is given by its ``size`` columns, column e holding bit j where the
+        run's j-th representative has element e in the set: the inverse
+        of ``_read_off``'s strided slices, through the bit strings."""
+        out = []
+        for (_start, width, _size), cols in zip(self.size_runs, columns):
+            rows = [format(c, f"0{width}b")[::-1] for c in cols]
+            out.append("".join(map("".join, zip(*rows))))
+        return int("".join(out)[::-1] or "0", 2)
 
     def mask_members(self, mask: int) -> list[Structure]:
         return [r for i, r in enumerate(self.representatives) if (mask >> i) & 1]

@@ -432,6 +432,15 @@ def alpha_types_of(sentence: Sentence, alpha: int,
                    space: ModelSpace) -> tuple[set[TypeId], set[TypeId]]:
     """(all level-alpha classes realized by tuples in models of the
     sentence, the subset realized by empty tuples), within the space."""
+    psi, phi = _alpha_labels(sentence, alpha, space)
+    return ({TypeId(alpha, lab) for lab in psi},
+            {TypeId(alpha, lab) for lab in phi})
+
+
+def _alpha_labels(sentence: Sentence, alpha: int,
+                  space: ModelSpace) -> tuple[set[int], set[int]]:
+    """``alpha_types_of`` as the sets of the classes' labels, which is all
+    that a count of them needs."""
     if alpha < 0:
         raise PreconditionError("alpha must be >= 0")
     part = space_partition(space)
@@ -445,8 +454,7 @@ def alpha_types_of(sentence: Sentence, alpha: int,
             start = part.starts[si]
             psi.update(labels[start:part.block(si, part.n_max)[1]])
             phi.add(labels[start])
-    return ({TypeId(alpha, lab) for lab in psi},
-            {TypeId(alpha, lab) for lab in phi})
+    return psi, phi
 
 
 def _isolation_levels(structures: Sequence[Structure]) -> list[int]:

@@ -92,6 +92,25 @@ class TestScottCommand:
         assert "not materialized" in r.stdout
 
 
+class TestAnalyzeCommand:
+    def test_counts_equal_the_alpha_types(self, files, tmp_path):
+        # the report counts labels; the public sets of TypeIds agree
+        from indepax import model, scott
+        r = run_cli("analyze", str(files / "theory.json"), "--max-size", "3",
+                    "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        report = json.loads((tmp_path / "analyze.json").read_text())
+        T = model.load_theory(str(files / "theory.json"))
+        space = model.enumerate_models(model.infer_signature(T.sentences), 3)
+        sentence = model.And(T.sentences)
+        assert report["classes"] == len(space.representatives)
+        assert [row["alpha"] for row in report["levels"]] == list(
+            range(report["stabilization_level"] + 1))
+        for row in report["levels"]:
+            psi, phi = scott.alpha_types_of(sentence, row["alpha"], space)
+            assert (row["psi"], row["phi"]) == (len(psi), len(phi))
+
+
 class TestTransformCommand:
     def test_auto_on_independent_pair(self, files, tmp_path):
         r = run_cli("transform", "--method", "auto", str(files / "theory.json"),

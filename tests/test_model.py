@@ -484,29 +484,56 @@ class TestElementSetAlgebra:
                 full = (1 << rep.size) - 1
                 assert m == (full if reference_holds(rep, c) else 0)
 
-    def test_quantified_child_is_evaluated_where_open(self, ub_sig, evals):
+    def test_other_free_variables_are_refused(self, ub_sig):
+        # also once a formula over the same node is cached
+        space = enumerate_models(ub_sig, 2)
+        r = Atom("R", ("x", "y"))
+        space.elem_satset(Exists("y", r), "x")
+        for var in ("x", "z"):
+            with pytest.raises(MalformedSentenceError):
+                space.elem_satset(r, var)
+
+    @pytest.fixture
+    def quantified_calls(self, monkeypatch):
+        """The width of every ``eval_program`` call from here on that runs
+        a quantified program, in order."""
+        calls = []
+        real = _kernel.active.eval_program
+
+        def counting(prog, size, masks, env0, width=1):
+            if prog.rank:
+                calls.append(width)
+            return real(prog, size, masks, env0, width)
+        monkeypatch.setattr(_kernel.active, "eval_program", counting)
+        return calls
+
+    @staticmethod
+    def run_by_run(space):
+        """The widths of the kernel calls that evaluate a quantified
+        formula over ``space``: per run, one call per element value."""
+        return [width for _start, width, size, _masks in space.runs
+                for _e in range(size)]
+
+    def test_quantified_child_is_evaluated_where_open(self, ub_sig, evals,
+                                                      quantified_calls):
+        # a quantified child is evaluated run by run at every element, with
+        # no ``model.eval``, and its set is kept: a later formula reads it
         space = enumerate_models(ub_sig, 2)
         p = Atom("P", ("x",))
         q = Exists("y", Atom("R", ("x", "y")))
-        for conj, f in ((True, And([q, p])), (False, Or([q, p]))):
-            before = evals.count(q)
+        for f, cost in ((And([q, p]), self.run_by_run(space)),
+                        (Or([q, p]), [])):
+            before = len(quantified_calls)
             got = space.elem_satset(f, "x")
-            # q is evaluated at the elements where p leaves f open: those
-            # with P for the conjunction, those without it for the
-            # disjunction
-            open_ = sum(bin(m if conj else full & ~m).count("1")
-                        for m, full in zip(
-                            elem_blocks(space, space.elem_satset(p, "x")),
-                            elem_blocks(space, space.elem_full)))
-            assert 0 < open_ < sum(rep.size for rep in space.representatives)
-            assert evals.count(q) - before == open_
-            assert (id(q), "x") not in space._elemsets
+            assert quantified_calls[before:] == cost
+            assert evals.count(q) == 0
+            assert (id(q), "x") in space._elemsets
             for rep, m in zip(space.representatives,
                               elem_blocks(space, got)):
                 assert m == self.per_element(rep, f)
 
-    def test_quantified_part_is_evaluated_once_per_element(self, ub_sig,
-                                                           monkeypatch):
+    def test_quantified_part_is_evaluated_once_per_element(
+            self, ub_sig, monkeypatch, quantified_calls):
         space = enumerate_models(ub_sig, 2)
         p, r = Atom("P", ("x",)), Atom("R", ("x", "x"))
         q = Exists("y", Atom("R", ("x", "y")))
@@ -518,18 +545,25 @@ class TestElementSetAlgebra:
                 seen.append((id(M), assignment["x"]))
             return real(M, sentence, assignment)
         monkeypatch.setattr(model, "eval", counting)
-        # q is open in each, at elements that overlap; then asked alone
+        # q is a part of each; its set is computed by the first, run by
+        # run, and read from the cache by the others and when asked alone
+        # (the per-element checks run q's program too, so the calls are
+        # counted around ``elem_satset`` alone)
+        calls = []
         for f in (And([q, p]), And([r, q]), Or([q, p]), Or([Not(r), q])):
+            before = len(quantified_calls)
             got = space.elem_satset(f, "x")
-            assert (id(q), "x") not in space._elemsets
+            calls += quantified_calls[before:]
+            assert (id(q), "x") in space._elemsets
+            assert not seen
             for rep, m in zip(space.representatives,
                               elem_blocks(space, got)):
                 assert m == self.per_element(rep, f)
-        assert 0 < len(seen) == len(set(seen))
+        assert calls == self.run_by_run(space)
+        before = len(quantified_calls)
         got = space.elem_satset(q, "x")
-        assert (id(q), "x") not in space._decided
-        assert len(seen) == len(set(seen)) == sum(
-            rep.size for rep in space.representatives)
+        assert got is space._elemsets[(id(q), "x")]
+        assert len(quantified_calls) == before
         for rep, m in zip(space.representatives, elem_blocks(space, got)):
             assert m == self.per_element(rep, q)
 
@@ -661,6 +695,32 @@ class TestElementSetLayout:
                 got = elem_blocks(space, space.elem_satset(f, "x"))
                 assert got == tuple(
                     TestElementSetAlgebra.per_element(rep, f)
+                    for rep in space.representatives), to_sexpr(f)
+
+    def test_quantified_formulas_match_per_element_eval(self, spaces):
+        import random
+        from indepax import generators
+        rng = random.Random(29)
+        by_rank = {1: [], 2: [], 3: []}
+        while min(map(len, by_rank.values())) < 4:
+            f = generators.random_formula(rng, 3, ("x",))
+            rank = model.quantifier_rank(f)
+            if (type(f) in (Exists, Forall) and f.free == {"x"}
+                    and rank in by_rank and len(by_rank[rank]) < 4):
+                by_rank[rank].append(f)
+        parts = [f for fs in by_rank.values() for f in fs]
+        # the combinations first, while their parts' sets are not cached
+        opened = [g for a, b in zip(parts[::2], parts[1::2])
+                  for g in (And([a, Not(b)]), Or([Not(a), b]))] + parts
+        for space in spaces:
+            for f in opened:
+                got = elem_blocks(space, space.elem_satset(f, "x"))
+                assert got == tuple(
+                    TestElementSetAlgebra.per_element(rep, f)
+                    for rep in space.representatives), to_sexpr(f)
+                assert got == tuple(
+                    sum(reference_holds(rep, f, {"x": e}) << e
+                        for e in range(rep.size))
                     for rep in space.representatives), to_sexpr(f)
 
     def test_closed_parts_lift_to_whole_blocks(self, spaces):

@@ -90,9 +90,11 @@ def elem_blocks(space: model.ModelSpace, elems: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reference_holds(M: model.Structure, sentence: model.Sentence) -> bool:
-    """Tarskian truth by recursion over the AST, one stack frame per level,
-    memoized on (node, values of its free variables)."""
+def reference_holds(M: model.Structure, sentence: model.Sentence,
+                    assignment: dict | None = None) -> bool:
+    """Tarskian truth under ``assignment`` (none for a sentence) by
+    recursion over the AST, one stack frame per level, memoized on (node,
+    values of its free variables)."""
     memo: dict[tuple, bool] = {}
 
     def holds(f, env: dict) -> bool:
@@ -123,7 +125,7 @@ def reference_holds(M: model.Structure, sentence: model.Sentence) -> bool:
         memo[key] = res
         return res
 
-    return holds(sentence, {})
+    return holds(sentence, dict(assignment or {}))
 
 
 # not, then a quantifier (exists and forall in turn), repeated
