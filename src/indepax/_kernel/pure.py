@@ -17,7 +17,6 @@ single structure is the run of width 1.
 """
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -25,7 +24,6 @@ from typing import Callable, Optional, Sequence
 BACKEND = "pure"
 
 
-@dataclass
 class Program:
     """Sentence DAG compiled to one closure per node and slot context.
 
@@ -53,10 +51,13 @@ class Program:
     their own, so threads may share a program.
     """
 
-    ops: list[Callable] = field(default_factory=list)
-    run: Optional[Callable] = None
-    nslots: int = 0
-    rank: int = 0
+    def __init__(self, ops: Optional[list[Callable]] = None,
+                 run: Optional[Callable] = None, nslots: int = 0,
+                 rank: int = 0):
+        self.ops = [] if ops is None else ops
+        self.run = run
+        self.nslots = nslots
+        self.rank = rank
 
 
 # Node constructors, one per node kind, each returning the node's runner.

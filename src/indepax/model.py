@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -339,8 +338,8 @@ def _node(frame: list) -> Sentence:
 # Signature and structures
 # ---------------------------------------------------------------------------
 
-# Signature and Structure hash their fields once, as a frozen dataclass
-# would on every call: cache keys hash them on every evaluation and every
+# Value types hash their fields once, on the first call, and keep the hash:
+# cache keys hash a Signature and a Structure on every evaluation and every
 # type comparison.
 
 def _state_without_hash(self) -> dict:
@@ -349,13 +348,55 @@ def _state_without_hash(self) -> dict:
     return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
-class Signature:
+class Frozen:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``_fields`` and sets them once, in ``__init__``, through ``__dict__``;
+    assigning to or deleting an attribute afterwards raises
+    ``AttributeError``.  An instance equals only an instance of the same
+    class with equal fields, hashes as the tuple of its fields and shows
+    as ``Name(field=value, ...)``.  Written out rather than generated, so
+    that a fresh process starts faster (README, "Notes and limits")."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other is self:  # most comparisons: a signature against itself
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    __getstate__ = _state_without_hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Signature(Frozen):
     """Finite relational signature: (name, arity) pairs, names unique."""
 
-    relations: tuple[tuple[str, int], ...]
+    _fields = ("relations",)
 
-    def __post_init__(self):
+    def __init__(self, relations: tuple[tuple[str, int], ...]):
+        self.__dict__["relations"] = relations
         names = [n for n, _ in self.relations]
         if len(set(names)) != len(names):
             raise SignatureMismatchError("duplicate relation names")
@@ -364,15 +405,6 @@ class Signature:
                 raise SignatureMismatchError(f"invalid relation name {n!r}")
             if a < 1:
                 raise SignatureMismatchError(f"arity of {n} must be >= 1")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.relations,))
-
-    __getstate__ = _state_without_hash
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -384,15 +416,16 @@ class Signature:
 MAX_STRUCTURE_CELLS = 1 << 24
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(Frozen):
     """Finite structure with universe 0..size-1: per relation of
     ``signature``, a mask whose bit i says whether the tuple of fold-left
     index i (``a_0 * size**(k-1) + ... + a_{k-1}``) holds."""
 
-    signature: Signature
-    size: int
-    masks: tuple[int, ...]
+    _fields = ("signature", "size", "masks")
+
+    def __init__(self, signature: Signature, size: int,
+                 masks: tuple[int, ...]):
+        self.__dict__.update(signature=signature, size=size, masks=masks)
 
     @staticmethod
     def make(signature: Signature, size: int,
@@ -428,15 +461,6 @@ class Structure:
                 buf[idx >> 3] |= 1 << (idx & 7)
             masks.append(int.from_bytes(buf, "little"))
         return Structure(signature, size, tuple(masks))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.signature, self.size, self.masks))
-
-    __getstate__ = _state_without_hash
 
     @cached_property
     def tables(self) -> tuple[frozenset[tuple[int, ...]], ...]:
@@ -604,20 +628,19 @@ def eval(M: Structure, sentence: Sentence,
 # Theories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Frozen):
     """Ordered sentence list with provenance labels; order is significant
     and duplicates are permitted."""
 
-    sentences: tuple[Sentence, ...]
-    labels: tuple[str, ...] = ()
+    _fields = ("sentences", "labels")
 
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels",
-                               tuple(f"input[{i}]" for i in range(len(self.sentences))))
-        if len(self.labels) != len(self.sentences):
+    def __init__(self, sentences: tuple[Sentence, ...],
+                 labels: tuple[str, ...] = ()):
+        if not labels:
+            labels = tuple(f"input[{i}]" for i in range(len(sentences)))
+        if len(labels) != len(sentences):
             raise ParseError("theory labels must match sentences")
+        self.__dict__.update(sentences=sentences, labels=labels)
 
     @staticmethod
     def of(sentences: Iterable[Sentence], labels: Optional[Iterable[str]] = None) -> "Theory":
@@ -634,7 +657,6 @@ class Theory:
 # Bounded model space
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class ModelSpace:
     """One representative per isomorphism class of size <= max_size.
 
@@ -664,12 +686,14 @@ class ModelSpace:
     calls of that path.
     """
 
-    signature: Signature
-    max_size: int
-    representatives: tuple[Structure, ...]
-    _satsets: dict = field(init=False, default_factory=dict, repr=False)
-    _elemsets: dict = field(init=False, default_factory=dict, repr=False)
-    _extra: dict = field(init=False, default_factory=dict, repr=False)
+    def __init__(self, signature: Signature, max_size: int,
+                 representatives: tuple[Structure, ...]):
+        self.signature = signature
+        self.max_size = max_size
+        self.representatives = representatives
+        self._satsets: dict = {}
+        self._elemsets: dict = {}
+        self._extra: dict = {}
 
     @cached_property
     def full_mask(self) -> int:

@@ -23,7 +23,6 @@ import itertools
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from struct import Struct
@@ -32,8 +31,8 @@ from typing import Optional
 from . import _kernel
 from .errors import (EnumerationOverflowError, MaterializationRefusedError,
                      PreconditionError, SignatureMismatchError)
-from .model import (And, Atom, Eq, Exists, Forall, ModelSpace, Not, Or,
-                    Sentence, Signature, Structure, canonical_key,
+from .model import (And, Atom, Eq, Exists, Forall, Frozen, ModelSpace, Not,
+                    Or, Sentence, Signature, Structure, canonical_key,
                     long_repr)
 
 
@@ -50,19 +49,19 @@ MAX_PARTITION_ITEMS = 2_000_000
 MAX_FACT_TABLE_ENTRIES = 2_000_000
 
 
-@dataclass(frozen=True)
-class TypeId:
+class TypeId(Frozen):
     """Equivalence class of (structure, tuple) pairs at one level.
 
     Class indices are dense per level; equal TypeId means same class within
     one partition run.
     """
 
-    level: int
-    class_index: int
+    _fields = ("level", "class_index")
+
+    def __init__(self, level: int, class_index: int):
+        self.__dict__.update(level=level, class_index=class_index)
 
 
-@dataclass(eq=False)
 class TypePartition:
     """Per-level classes of (structure index, tuple) items from one joint
     refinement run.  ``levels[k]`` holds the class of every item at level
@@ -76,11 +75,14 @@ class TypePartition:
     where one length block starts and ends.  No item is stored: ``items``
     derives them from this layout, for ``len()`` and iteration."""
 
-    structures: tuple[Structure, ...]
-    n_max: int
-    starts: tuple[int, ...]
-    levels: tuple[array, ...]
-    stabilization_level: int
+    def __init__(self, structures: tuple[Structure, ...], n_max: int,
+                 starts: tuple[int, ...], levels: tuple[array, ...],
+                 stabilization_level: int):
+        self.structures = structures
+        self.n_max = n_max
+        self.starts = starts
+        self.levels = levels
+        self.stabilization_level = stabilization_level
 
     @property
     def items(self) -> "PartitionItems":
@@ -102,6 +104,8 @@ class TypePartition:
         return self.starts[struct_idx] + i
 
     def class_at(self, level: int, struct_idx: int, tup: Sequence[int]) -> int:
+        if level < 0:
+            raise PreconditionError("level must be >= 0")
         tup = tuple(tup)
         if not (0 <= struct_idx < len(self.structures)
                 and len(tup) <= self.n_max
@@ -113,6 +117,8 @@ class TypePartition:
         return labels[self._item_index(struct_idx, tup)]
 
     def classes_at(self, level: int) -> int:
+        if level < 0:
+            raise PreconditionError("level must be >= 0")
         return max(self.levels[min(level, self.stabilization_level)]) + 1
 
 
@@ -267,6 +273,8 @@ def types_equal(M: Structure, a: Sequence[int], N: Structure,
                 b: Sequence[int], alpha: int) -> bool:
     """Whether (M, a) and (N, b) share a class at level alpha (clamped to
     the stabilization level) of the joint partition of M and N."""
+    if alpha < 0:
+        raise PreconditionError("alpha must be >= 0")
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise PreconditionError(f"tuple lengths differ: {len(a)} vs {len(b)}")
@@ -362,6 +370,8 @@ def type_formula(M: Structure, tup: Sequence[int], alpha: int,
     ``MAX_LITERAL_ATOMS`` atoms, or those atoms times the number of those
     tuples exceed ``MAX_REACHED_ATOMS``.  M's size is not capped here; see
     ``scott_sentence``."""
+    if alpha < 0:
+        raise PreconditionError("alpha must be >= 0")
     tup = tuple(tup)
     if any(not (0 <= v < M.size) for v in tup):
         raise PreconditionError(f"tuple {tup} out of range")

@@ -9,12 +9,11 @@ order-sensitive).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotApplicableError, ParseError, PreconditionError, \
     VerificationInternalError
-from .model import ModelSpace, Theory, json_int
+from .model import Frozen, ModelSpace, Theory, json_int
 
 
 #: largest universe a ``SetFamily`` may have: a set takes one bit per
@@ -30,23 +29,22 @@ def _check_universe(universe_size: int) -> None:
                                 f"exceeds cap {MAX_UNIVERSE}")
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Frozen):
     """Indexed subsets of 0..universe_size-1, stored as bit masks."""
 
-    universe_size: int
-    sets: tuple[int, ...]
-    labels: tuple[str, ...] = ()
+    _fields = ("universe_size", "sets", "labels")
 
-    def __post_init__(self):
-        _check_universe(self.universe_size)
-        if any(s >> self.universe_size for s in self.sets):
+    def __init__(self, universe_size: int, sets: tuple[int, ...],
+                 labels: tuple[str, ...] = ()):
+        _check_universe(universe_size)
+        if any(s >> universe_size for s in sets):
             raise ParseError("set element out of universe range")
-        if not self.labels:
-            object.__setattr__(self, "labels",
-                               tuple(f"set[{i}]" for i in range(len(self.sets))))
-        if len(self.labels) != len(self.sets):
+        if not labels:
+            labels = tuple(f"set[{i}]" for i in range(len(sets)))
+        if len(labels) != len(sets):
             raise ParseError("labels must match sets")
+        self.__dict__.update(universe_size=universe_size, sets=sets,
+                             labels=labels)
 
     @property
     def full(self) -> int:
@@ -106,12 +104,15 @@ def intersections_of_others(sets: Sequence[int], full: int) -> list[int]:
     return out
 
 
-@dataclass
 class FamilyCheckReport:
-    independent: bool
-    intersection_witness: Optional[int]
-    removal_witnesses: tuple[Optional[int], ...]
-    failure: Optional[str] = None
+    def __init__(self, independent: bool,
+                 intersection_witness: Optional[int],
+                 removal_witnesses: tuple[Optional[int], ...],
+                 failure: Optional[str] = None):
+        self.independent = independent
+        self.intersection_witness = intersection_witness
+        self.removal_witnesses = removal_witnesses
+        self.failure = failure
 
 
 def family_is_independent(F: SetFamily) -> tuple[bool, FamilyCheckReport]:
@@ -139,15 +140,19 @@ def families_equivalent(F: SetFamily, G: SetFamily) -> bool:
     return F.intersection() == G.intersection()
 
 
-@dataclass
 class FamilyTransformReport:
-    input: SetFamily
-    output: SetFamily
-    method: str                        # "case1" | "case2"
-    dropped: tuple[int, ...] = ()
-    blocks: tuple[int, ...] = ()
-    equivalence_checked: bool = False
-    check: Optional[FamilyCheckReport] = None
+    def __init__(self, input: SetFamily, output: SetFamily,
+                 method: str,  # "case1" | "case2"
+                 dropped: tuple[int, ...] = (), blocks: tuple[int, ...] = (),
+                 equivalence_checked: bool = False,
+                 check: Optional[FamilyCheckReport] = None):
+        self.input = input
+        self.output = output
+        self.method = method
+        self.dropped = dropped
+        self.blocks = blocks
+        self.equivalence_checked = equivalence_checked
+        self.check = check
 
 
 def _verified(report: FamilyTransformReport) -> FamilyTransformReport:

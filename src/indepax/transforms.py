@@ -9,7 +9,6 @@ not an input error, and raises VerificationInternalError.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
@@ -24,21 +23,26 @@ from .setfam import intersections_of_others
 from .verify import check_independence, check_theories_equivalent
 
 
-@dataclass
 class TransformReport:
     """Input/output pair with the method, bound, and verification evidence.
 
     Each independence witness W for output sentence s satisfies every other
-    output sentence and fails s, all within the bound.
+    output sentence and fails s, all within the bound.  ``notes`` defaults
+    to a new dict.
     """
 
-    input: Theory
-    output: Theory
-    method: str            # partition | reznikoff | complement | scott_filter | driver
-    bound: int
-    equivalence_checked: bool
-    independence_witnesses: tuple[Optional[Structure], ...]
-    notes: dict = field(default_factory=dict)
+    def __init__(self, input: Theory, output: Theory,
+                 method: str,  # partition | reznikoff | complement | scott_filter | driver
+                 bound: int, equivalence_checked: bool,
+                 independence_witnesses: tuple[Optional[Structure], ...],
+                 notes: Optional[dict] = None):
+        self.input = input
+        self.output = output
+        self.method = method
+        self.bound = bound
+        self.equivalence_checked = equivalence_checked
+        self.independence_witnesses = independence_witnesses
+        self.notes = {} if notes is None else notes
 
 
 def _verify(report: TransformReport, space: ModelSpace,
@@ -63,11 +67,13 @@ def _verify(report: TransformReport, space: ModelSpace,
 # Sentence partitions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PartitionViolation:
-    condition: str                     # "shape" | "consistency" | "cover" | "exclusion"
-    index: Optional[tuple] = None
-    witness: Optional[Structure] = None
+    def __init__(self, condition: str,  # shape | consistency | cover | exclusion
+                 index: Optional[tuple] = None,
+                 witness: Optional[Structure] = None):
+        self.condition = condition
+        self.index = index
+        self.witness = witness
 
     def __str__(self):
         return f"{self.condition} violated at {self.index}"
@@ -249,15 +255,16 @@ def scott_filter_transform(T: Theory, space: ModelSpace) -> TransformReport:
 # Separating trees and the type-selection sentence
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SeparatingTree:
     """Binary tree of formula sets: labels grow along branches, sibling
     labels are jointly unsatisfiable on one element over the space, and the
     label of each leaf is exactly its type's formula set."""
 
-    nodes: dict[str, tuple[Sentence, ...]]
-    leaves: dict[str, TypeId]
-    var: str
+    def __init__(self, nodes: dict[str, tuple[Sentence, ...]],
+                 leaves: dict[str, TypeId], var: str):
+        self.nodes = nodes
+        self.leaves = leaves
+        self.var = var
 
     @property
     def depth(self) -> int:

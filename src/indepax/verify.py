@@ -13,7 +13,6 @@ certify bounded-space claims only; every report carries its bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import PreconditionError
@@ -63,6 +62,8 @@ class TypeOracle:
         a, b = tuple(a), tuple(b)
         if len(a) != len(b):
             raise PreconditionError(f"tuple lengths differ: {len(a)} vs {len(b)}")
+        if alpha < 0:
+            raise PreconditionError("alpha must be >= 0")
         if alpha > ALPHA_CAP:
             raise PreconditionError(
                 f"level {alpha} exceeds recursion cap {ALPHA_CAP}")
@@ -125,17 +126,22 @@ def oracle_isomorphic(M: Structure, N: Structure
 # Theory-level reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
     """Outcome of one brute-force check; fail verdicts carry a concrete
-    counterexample and every verdict is relative to the stated bound."""
+    counterexample and every verdict is relative to the stated bound.
+    ``certificates`` defaults to a new list."""
 
-    subject: str                       # "theory" | "family" | "transform"
-    check: str
-    bound: int
-    verdict: str                       # "pass" | "fail"
-    certificates: list = field(default_factory=list)
-    counterexample: Optional[dict] = None
+    def __init__(self, subject: str,  # "theory" | "family" | "transform"
+                 check: str, bound: int,
+                 verdict: str,  # "pass" | "fail"
+                 certificates: Optional[list] = None,
+                 counterexample: Optional[dict] = None):
+        self.subject = subject
+        self.check = check
+        self.bound = bound
+        self.verdict = verdict
+        self.certificates = [] if certificates is None else certificates
+        self.counterexample = counterexample
 
     @property
     def passed(self) -> bool:

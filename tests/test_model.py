@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indepax import _kernel, model, scott
+from indepax import _kernel, model, scott, setfam
 from indepax._kernel import pure
 from indepax.errors import (EnumerationOverflowError, MalformedSentenceError,
                             ParseError, PreconditionError)
@@ -146,6 +146,84 @@ class TestHashes:
         assert "_hash" not in vars(copy)
         assert "_hash" not in vars(copy.signature)
         assert copy == cycle3 and hash(copy) == hash(cycle3)
+
+
+class TestValueTypes:
+    """The contract of the immutable value types, whatever implements it."""
+
+    @pytest.fixture
+    def values(self, cycle3):
+        return [cycle3.signature, cycle3,
+                Theory.of([parse_sentence("(exists x (atom R x x))")]),
+                scott.TypeId(1, 2), setfam.SetFamily(3, (0b011, 0b110))]
+
+    @pytest.fixture
+    def twins(self):
+        # each built afresh from equal fields, so no object is shared
+        sig = Signature((("R", 2),))
+        return [sig, Structure.make(sig, 3, {"R": [(1, 2), (0, 1), (2, 0)]}),
+                Theory((parse_sentence("(exists x (atom R x x))"),),
+                       ("input[0]",)),
+                scott.TypeId(1, 2),
+                setfam.SetFamily(3, (3, 6), ("set[0]", "set[1]"))]
+
+    @pytest.fixture
+    def field_tuples(self, values):
+        sig, M, T, tid, F = values
+        return [(sig.relations,), (sig, M.size, M.masks),
+                (T.sentences, T.labels), (1, 2),
+                (F.universe_size, F.sets, F.labels)]
+
+    @pytest.mark.parametrize("index, field", [
+        (0, "relations"), (1, "size"), (1, "masks"), (2, "labels"),
+        (3, "level"), (4, "sets"), (4, "labels")])
+    def test_fields_cannot_be_assigned(self, values, index, field):
+        value = values[index]
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+    def test_equal_fields_compare_and_hash_equal(self, values, twins):
+        for value, twin in zip(values, twins):
+            assert twin is not value
+            assert twin == value and not twin != value
+            assert hash(twin) == hash(value)
+
+    def test_hash_is_the_hash_of_the_fields(self, values, field_tuples):
+        for value, fields in zip(values, field_tuples):
+            assert hash(value) == hash(fields)
+
+    def test_different_classes_never_compare_equal(self, values,
+                                                   field_tuples):
+        # nor does a value equal the tuple of its own fields
+        for value, fields in zip(values, field_tuples):
+            assert value.__eq__(fields) is NotImplemented
+            assert value != fields
+            for other in values:
+                if other is not value:
+                    assert value != other and not value == other
+
+    def test_repr_names_the_fields(self, values):
+        assert repr(values[3]) == "TypeId(level=1, class_index=2)"
+        assert repr(values[0]) == "Signature(relations=(('R', 2),))"
+        assert repr(values[4]) == (
+            "SetFamily(universe_size=3, sets=(3, 6), "
+            "labels=('set[0]', 'set[1]'))")
+
+    def test_pickled_copies_are_equal_and_rehash(self, values):
+        # interned sentence nodes do not pickle, so no Theory is copied
+        for value in values[:2] + values[3:]:
+            hash(value)
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy is not value
+            assert copy == value and hash(copy) == hash(value)
+        M = pickle.loads(pickle.dumps(values[1]))
+        assert "_hash" not in vars(M)
+        hash(M)
+        assert "_hash" in vars(M)
 
 
 class TestEval:

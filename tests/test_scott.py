@@ -427,6 +427,38 @@ class TestTypesEqual:
                                 assert scott.types_equal(M, a, M, b, alpha)
 
 
+class TestNegativeLevels:
+    """A level below 0 is refused, not read as an index from the end of the
+    levels (the stabilized one) or recursed on down to the length cap."""
+
+    @pytest.fixture
+    def pair(self, sig):
+        return cycle(sig, 3), Structure.make(sig, 3, {"R": [(0, 1), (1, 2)]})
+
+    def test_types_equal(self, pair):
+        M, N = pair
+        assert scott.types_equal(M, (), N, (), 0)
+        with pytest.raises(PreconditionError, match="alpha must be >= 0"):
+            scott.types_equal(M, (), N, (), -1)
+
+    def test_class_at(self, pair):
+        part = scott.joint_type_partition(pair)
+        assert part.class_at(0, 0, ()) == part.class_at(0, 1, ())
+        with pytest.raises(PreconditionError, match="level must be >= 0"):
+            part.class_at(-1, 0, ())
+
+    def test_classes_at(self, pair):
+        part = scott.joint_type_partition(pair)
+        assert part.classes_at(0) < part.classes_at(part.stabilization_level)
+        with pytest.raises(PreconditionError, match="level must be >= 0"):
+            part.classes_at(-1)
+
+    def test_type_formula(self, pair):
+        M, _ = pair
+        with pytest.raises(PreconditionError, match="alpha must be >= 0"):
+            scott.type_formula(M, (0,), -1)
+
+
 class TestScottHeight:
     def test_empty_signature(self):
         for n in (1, 2, 4):

@@ -29,6 +29,14 @@ class TestTypeOracle:
         with pytest.raises(PreconditionError):
             verify.oracle_types_equal(N, (), N, (), 9)
 
+    def test_negative_level_is_refused(self, sig):
+        M = Structure.make(sig, 3, {"R": [(0, 1), (1, 2), (2, 0)]})
+        N = Structure.make(sig, 3, {"R": [(0, 1), (1, 2)]})
+        oracle = verify.TypeOracle(M, N)
+        assert oracle.equal((), (), 0)
+        with pytest.raises(PreconditionError, match="alpha must be >= 0"):
+            oracle.equal((), (), -1)
+
     def test_height_matches_oracle_recursion(self, sig):
         # recompute the stabilization level from the naive recursion alone:
         # least level at which the tuple relation stops refining
